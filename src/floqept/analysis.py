@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    branch_root,
+    classify_phase,
     effective_coupling,
     monodromy_quasienergies,
     quasienergy_gap,
@@ -82,11 +84,7 @@ class GammaCurve:
         if not np.isfinite(self.gamma_c_fit):
             return self.gamma_eff.copy()
         model = np.array(
-            [
-                self.gamma_c_fit
-                * abs(bessel_j(0, self.delta_b_fit / w) * bessel_j(1, self.delta_b_fit / w))
-                for w in self.omega_b
-            ]
+            [effective_coupling(self.gamma_c_fit, self.delta_b_fit, w, 1, 0) for w in self.omega_b]
         )
         return self.gamma_eff - model
 
@@ -98,15 +96,15 @@ def _split_indicator(params: ModelParams, cfg: SimConfig, route: str,
     sign = -1.0 if params.delta0 <= 0 else 1.0
 
     if route == "closed-form":
+        geff = (
+            gamma_eff_override
+            if gamma_eff_override is not None
+            else effective_coupling(params.gamma_c, params.delta_b, params.omega_b,
+                                    params.n1, params.n2)
+        )
+
         def indicator(d0_abs: float) -> bool:
-            geff = (
-                gamma_eff_override
-                if gamma_eff_override is not None
-                else effective_coupling(params.gamma_c, params.delta_b, params.omega_b,
-                                        params.n1, params.n2)
-            )
-            mu = d0_abs - n * params.omega_b
-            return 0.25 * mu * mu - geff * geff > 0.0
+            return bool(branch_root(d0_abs - n * params.omega_b, geff).real > 0.0)
 
         return indicator
 
@@ -206,7 +204,7 @@ def gamma_curve(params: ModelParams, omega_b_grid, cfg: SimConfig,
 
     def model(p, w):
         gc, db = p
-        return np.array([abs(gc) * abs(bessel_j(0, db / wi) * bessel_j(1, db / wi)) for wi in w])
+        return np.array([effective_coupling(abs(gc), db, wi, 1, 0) for wi in w])
 
     i_max = int(np.argmax(rates))
     p0 = np.array([rates[i_max] / 0.3386, 1.0819 * omegas[i_max]])
@@ -299,18 +297,10 @@ def phase_diagram(params: ModelParams, delta0_abs_grid, omega_b_grid, n: int,
     """
     d0s = np.asarray(delta0_abs_grid, dtype=float)
     ws = np.asarray(omega_b_grid, dtype=float)
-    out = np.empty((d0s.size, ws.size), dtype=int)
-    for j, w in enumerate(ws):
-        geff = effective_coupling(params.gamma_c, params.delta_b, w, n, 0)
-        for i, d0 in enumerate(d0s):
-            mu = d0 - n * w
-            if abs(abs(mu) - 2.0 * geff) < resolution:
-                out[i, j] = 1
-            elif abs(mu) < 2.0 * geff:
-                out[i, j] = 0
-            else:
-                out[i, j] = 2
-    return out
+    geff = np.array([effective_coupling(params.gamma_c, params.delta_b, w, n, 0) for w in ws])
+    mu_abs = np.abs(d0s[:, None] - n * ws[None, :])
+    # the EP band is strict: |mu - 2*Gamma_eff| < resolution
+    return classify_phase(mu_abs, 2.0 * geff, np.nextafter(resolution, -np.inf))
 
 
 def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,

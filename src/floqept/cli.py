@@ -16,11 +16,9 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +83,8 @@ def _parse_sweep(text: str) -> np.ndarray:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value parameter file (default: $FLOQEPT_CONFIG)")
     p.add_argument("--out", default=".", help="output directory (default: current)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect (sweeps run serially)")
     for name, typ in _PARAM_FLAGS.items():
         p.add_argument(f"--{name.replace('_', '-')}", type=typ, default=None, dest=name)
     for name, typ in _CFG_FLAGS.items():
@@ -126,14 +125,6 @@ def _check(params, cfg) -> None:
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
     return code
-
-
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _finish(args, name, params, cfg, outputs, t0) -> int:
@@ -191,7 +182,7 @@ def cmd_eigen(args) -> int:
             )
         return rows
 
-    rows = [r for chunk in _pmap(one, d0_values, args.jobs) for r in chunk]
+    rows = [r for d0_abs in d0_values for r in one(d0_abs)]
     csv_path = out / "eigen.csv"
     write_csv(
         csv_path,
@@ -234,9 +225,7 @@ def cmd_separation(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     d0_values = _parse_sweep(args.sweep_delta0)
-    points = _pmap(
-        lambda d0: separation_curve(params, [d0], cfg)[0], d0_values, args.jobs
-    )
+    points = separation_curve(params, d0_values, cfg)
     csv_path = out / "separation.csv"
     write_csv(
         csv_path,

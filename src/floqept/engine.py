@@ -47,6 +47,9 @@ __all__ = [
     "EngineError",
     "SingularSteadyStateError",
     "Branches",
+    "PHASES",
+    "branch_root",
+    "classify_phase",
     "static_hamiltonian",
     "static_eigenvalues",
     "effective_coupling",
@@ -64,9 +67,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-UNBROKEN = "unbroken"
-EP = "ep"
-BROKEN = "broken"
+PHASES = ("unbroken", "ep", "broken")  # phase tags, indexed by classify_phase codes
 
 
 class EngineError(RuntimeError):
@@ -104,11 +105,36 @@ class Branches:
         return abs(self.values[0].real - self.values[1].real)
 
 
-def _classify(mismatch_abs: float, threshold: float) -> str:
-    tol = 1e-9 * max(1.0, threshold)
-    if abs(mismatch_abs - threshold) <= tol:
-        return EP
-    return UNBROKEN if mismatch_abs < threshold else BROKEN
+def branch_root(mismatch, coupling):
+    """Principal root ``sqrt(mismatch^2/4 - coupling^2)``, elementwise, complex.
+
+    Every closed form of the model has branches ``center +- branch_root``.
+    The principal root has a nonnegative real part, and a nonnegative
+    imaginary part where the real part is zero, so the ``+`` branch is
+    always first under the global ordering convention.
+    """
+    mismatch = np.asarray(mismatch, dtype=float)
+    coupling = np.asarray(coupling, dtype=float)
+    return np.sqrt((0.25 * mismatch * mismatch - coupling * coupling).astype(complex))
+
+
+def classify_phase(mismatch_abs, threshold, ep_band):
+    """Phase code, elementwise: an index into :data:`PHASES`.
+
+    1 (EP) where ``|mismatch_abs - threshold| <= ep_band``; otherwise 0
+    (unbroken) below the threshold and 2 (broken) at or above it.
+    """
+    mismatch_abs = np.asarray(mismatch_abs, dtype=float)
+    side = np.where(mismatch_abs < threshold, 0, 2)
+    return np.where(np.abs(mismatch_abs - threshold) <= ep_band, 1, side)
+
+
+def _branches(center: float, mismatch: float, coupling: float) -> Branches:
+    """``center +- branch_root``, tagged against ``2*coupling`` to 1e-9 relative."""
+    root = branch_root(mismatch, coupling)
+    threshold = 2.0 * coupling
+    code = classify_phase(abs(mismatch), threshold, 1e-9 * max(1.0, threshold))
+    return Branches(values=(complex(center + root), complex(center - root)), tag=PHASES[int(code)])
 
 
 def static_hamiltonian(delta0: float, gamma_c: float, gamma12: float = 0.0) -> np.ndarray:
@@ -128,10 +154,7 @@ def static_eigenvalues(delta0: float, gamma_c: float) -> Branches:
     The tag compares ``|delta0|`` against the coalescence threshold
     ``2*gamma_c``.
     """
-    root = cmath.sqrt(0.25 * delta0 * delta0 - gamma_c * gamma_c)
-    pair = (0.5 * delta0 + root, 0.5 * delta0 - root)
-    idx = order_eigenvalues(pair)
-    return Branches(values=(pair[idx[0]], pair[idx[1]]), tag=_classify(abs(delta0), 2.0 * gamma_c))
+    return _branches(0.5 * delta0, delta0, gamma_c)
 
 
 def effective_coupling(gamma_c: float, delta_b: float, omega_b: float, n1: int, n2: int) -> float:
@@ -154,25 +177,19 @@ def floquet_eigenvalues(delta0: float, omega_b: float, n: int, gamma_eff: float)
     ``| |delta0| - n*omega_b |`` against ``2*gamma_eff``.
     """
     ns = n if delta0 >= 0 else -n
-    center = 0.5 * (delta0 + ns * omega_b)
-    mismatch = delta0 - ns * omega_b
-    root = cmath.sqrt(0.25 * mismatch * mismatch - gamma_eff * gamma_eff)
-    pair = (center + root, center - root)
-    idx = order_eigenvalues(pair)
-    return Branches(values=(pair[idx[0]], pair[idx[1]]), tag=_classify(abs(mismatch), 2.0 * gamma_eff))
+    return _branches(0.5 * (delta0 + ns * omega_b), delta0 - ns * omega_b, gamma_eff)
 
 
 class LabFrameModel:
     """Time-periodic 2x2 generator of the driven dissipatively coupled pair.
 
-    ``matrix(t)`` returns the Hamiltonian in Hz; ``generator(t)`` the
+    ``matrix(t)`` returns the Hamiltonian in Hz; ``fast_generator()`` the
     2*pi-scaled version fed to the integrator.  ``H(t + T) = H(t)`` exactly
     with ``T = 1/omega_b``, and ``delta_b = 0`` with ``n1 = n2 = 0`` reduces
     the matrix to the static one.
     """
 
-    def __init__(self, params: ModelParams, include_decay: bool = True,
-                 include_modulation: bool = True):
+    def __init__(self, params: ModelParams, include_decay: bool = True):
         self.params = params
         self.gamma_eff = effective_coupling(
             params.gamma_c, params.delta_b, params.omega_b, params.n1, params.n2
@@ -180,11 +197,10 @@ class LabFrameModel:
         self.n_signed = params.n_signed
         self.period = 1.0 / params.omega_b
         self._gamma12 = params.gamma12 if include_decay else 0.0
-        self._include_modulation = include_modulation
 
     def matrix(self, t: float) -> np.ndarray:
         p = self.params
-        common = p.delta_b * math.cos(TWO_PI * p.omega_b * t) if self._include_modulation else 0.0
+        common = p.delta_b * math.cos(TWO_PI * p.omega_b * t)
         phase = cmath.exp(-2j * math.pi * self.n_signed * p.omega_b * t)
         off = 1j * self.gamma_eff
         return np.array(
@@ -195,11 +211,8 @@ class LabFrameModel:
             dtype=complex,
         )
 
-    def generator(self, t: float) -> np.ndarray:
-        return TWO_PI * self.matrix(t)
-
     def fast_generator(self):
-        """Closure form of :meth:`generator` reusing one scratch matrix.
+        """``2*pi * matrix(t)`` as a closure reusing one scratch matrix.
 
         The integrator calls the generator millions of times in long
         time-domain runs; this avoids per-call array construction.  The
@@ -212,7 +225,7 @@ class LabFrameModel:
         off = 1j * TWO_PI * self.gamma_eff
         decay = -1j * TWO_PI * self._gamma12
         d0 = TWO_PI * p.delta0
-        depth = TWO_PI * p.delta_b if self._include_modulation else 0.0
+        depth = TWO_PI * p.delta_b
 
         def gen(t: float) -> np.ndarray:
             common = depth * math.cos(w_mod * t) + decay
@@ -224,9 +237,6 @@ class LabFrameModel:
             return buf
 
         return gen
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.matrix(t)
 
 
 @dataclass(frozen=True)
@@ -246,14 +256,7 @@ class RwaModel:
 
     def branches(self) -> Branches:
         """Stationary-phase eigenvalues of the effective model."""
-        center = 0.5 * (self.delta0 + self.n_omega_b)
-        root = cmath.sqrt(0.25 * self.mismatch**2 - self.gamma_eff**2)
-        pair = (center + root, center - root)
-        idx = order_eigenvalues(pair)
-        return Branches(
-            values=(pair[idx[0]], pair[idx[1]]),
-            tag=_classify(abs(self.mismatch), 2.0 * self.gamma_eff),
-        )
+        return _branches(0.5 * (self.delta0 + self.n_omega_b), self.mismatch, self.gamma_eff)
 
 
 def rwa_model(params: ModelParams) -> RwaModel:
@@ -364,13 +367,6 @@ class SidebandSolution:
 
     def sideband_power(self, channel: int, m: int) -> float:
         return float(np.abs(self.amps[channel - 1, m + (self.amps.shape[1] - 1) // 2]) ** 2)
-
-    def time_state(self, ts) -> np.ndarray:
-        """Reconstruct s_j(t) from the sideband expansion (channels as rows)."""
-        ts = np.asarray(ts, dtype=float)
-        freqs = self.delta + self.m_indices * self.omega_b
-        phases = np.exp(-2j * np.pi * np.outer(freqs, ts))
-        return self.amps @ phases
 
 
 def _hb_base_matrix(params: ModelParams, mtrunc: int) -> np.ndarray:

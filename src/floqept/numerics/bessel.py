@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["bessel_j", "bessel_j_sequence"]
+__all__ = ["bessel_j"]
 
 SUPPORTED_RANGE = 50.0
 _SERIES_CUTOVER = 12.0
@@ -87,8 +87,3 @@ def bessel_j(m: int, x: float) -> float:
     if x <= _SERIES_CUTOVER:
         return sign * _series(m, x)
     return sign * _miller(m, x)
-
-
-def bessel_j_sequence(mmax: int, x: float) -> list[float]:
-    """[J_0(x), ..., J_mmax(x)] computed with the same kernels as bessel_j."""
-    return [bessel_j(m, x) for m in range(mmax + 1)]

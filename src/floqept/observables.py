@@ -15,6 +15,7 @@ import numpy as np
 
 from .engine import (
     LabFrameModel,
+    branch_root,
     effective_coupling,
     steady_state_grid,
 )
@@ -323,7 +324,7 @@ def _separation_point(params: ModelParams, cfg: SimConfig,
 
     separation = abs(centers[0] - centers[1])
     mu = abs(params.delta0) - params.n * params.omega_b
-    eigen_sep = 2.0 * math.sqrt(max(0.25 * mu * mu - geff * geff, 0.0))
+    eigen_sep = 2.0 * float(branch_root(mu, geff).real)
     merged = separation < _merge_floor(step, params.gamma12)
     return SeparationPoint(
         delta0_abs=abs(params.delta0),

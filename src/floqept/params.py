@@ -164,9 +164,15 @@ def validate(params: ModelParams, cfg: SimConfig | None = None) -> ValidationRep
 
     Pure and idempotent: never mutates its inputs, never raises.  Any
     parameter set accepted here is accepted by every downstream operation
-    without further parameter errors.
+    without further parameter errors.  Every float field must be finite.
     """
-    bad: list[str] = []
+    floats = {k: getattr(params, k) for k, typ in _PARAM_FIELDS.items() if typ is float}
+    if cfg is not None:
+        for k, typ in _CFG_FIELDS.items():
+            if typ is float:
+                owner = cfg.grid if k.startswith("grid_") else cfg
+                floats[k] = getattr(owner, k.removeprefix("grid_"))
+    bad = [f"{k} must be finite, got {v}" for k, v in floats.items() if not math.isfinite(v)]
     if not params.omega_b > 0:
         bad.append("omega_b must be positive")
     if params.gamma_c < 0:
@@ -181,7 +187,7 @@ def validate(params: ModelParams, cfg: SimConfig | None = None) -> ValidationRep
     if cfg is not None:
         if cfg.truncation_m < 1:
             bad.append("truncation_m must be >= 1")
-        elif params.omega_b > 0:
+        elif params.omega_b > 0 and math.isfinite(params.modulation_index):
             need = required_truncation(params)
             if cfg.truncation_m < need:
                 bad.append(

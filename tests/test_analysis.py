@@ -142,6 +142,32 @@ class TestPhaseDiagram:
         assert flips.size == 1
         assert d0s[flips[0]] == pytest.approx(3055.8, abs=1.5)
 
+    def test_matches_pointwise_reference(self):
+        p = ModelParams(gamma_c=93.0, delta_b=4300.0, n1=1, n2=0)
+        d0s = np.arange(2900.0, 3200.0, 0.5)
+        ws = np.arange(2800.0, 3200.0, 25.0)
+        for n, resolution in ((1, 1.0), (1, 0.0), (2, 3.0)):
+            expected = np.empty((d0s.size, ws.size), dtype=int)
+            for j, w in enumerate(ws):
+                geff = effective_coupling(p.gamma_c, p.delta_b, w, n, 0)
+                for i, d0 in enumerate(d0s):
+                    mu = d0 - n * w
+                    if abs(abs(mu) - 2.0 * geff) < resolution:
+                        expected[i, j] = 1
+                    elif abs(mu) < 2.0 * geff:
+                        expected[i, j] = 0
+                    else:
+                        expected[i, j] = 2
+            grid = phase_diagram(p, d0s, ws, n, resolution=resolution)
+            assert grid.dtype == expected.dtype
+            assert np.array_equal(grid, expected)
+
+    def test_band_edge_is_strict(self):
+        # |mu - 2*Gamma_eff| exactly equal to the resolution is outside the band
+        p = ModelParams(gamma_c=0.0, n1=1, n2=0)
+        grid = phase_diagram(p, np.array([3001.0, 3002.0]), np.array([3000.0]), 1, resolution=1.0)
+        assert grid[:, 0].tolist() == [2, 2]
+
     def test_invariance_under_decay_and_stark(self):
         base = ModelParams(gamma_c=93.0, delta_b=4300.0, n1=1, n2=0)
         shifted = base.but(gamma12=175.0, stark_shift=100.0)

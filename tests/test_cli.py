@@ -36,6 +36,19 @@ def test_validate_failure_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("validate", "--delta-b", "inf"),
+    ("validate", "--delta-b", "nan"),
+    ("eigen", "--delta0", "nan", "--static"),
+])
+def test_non_finite_input_exit_2_with_message(tmp_path, args):
+    r = run_cli(*args, "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "must be finite" in r.stdout + r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "eigen.csv").exists()
+
+
 def test_invalid_params_on_compute_commands_exit_2(tmp_path):
     r = run_cli("eigen", "--out", str(tmp_path), "--omega-b", "0", "--static")
     assert r.returncode == 2

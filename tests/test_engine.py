@@ -14,9 +14,9 @@ from floqept import (
     rwa_model,
     static_eigenvalues,
 )
-from floqept.engine import TWO_PI, LabFrameModel, static_hamiltonian
+from floqept.engine import TWO_PI, LabFrameModel, branch_root, classify_phase, static_hamiltonian
 from floqept.numerics.bessel import bessel_j
-from floqept.numerics.eig import eig_small
+from floqept.numerics.eig import eig_small, order_eigenvalues
 
 
 class TestStaticEigenvalues:
@@ -151,6 +151,68 @@ class TestFloquetEigenvalues:
         b2 = floquet_eigenvalues(-3050.0, 3000.0, 1, g)
         assert b1.values == pytest.approx(b2.values)
         assert b1.tag == b2.tag
+
+
+def _pointwise_branches(center, mismatch, coupling):
+    """Reference closed form: scalar root, explicit sort, scalar tag."""
+    root = cmath.sqrt(0.25 * mismatch * mismatch - coupling * coupling)
+    pair = (center + root, center - root)
+    idx = order_eigenvalues(pair)
+    threshold = 2.0 * coupling
+    if abs(abs(mismatch) - threshold) <= 1e-9 * max(1.0, threshold):
+        tag = "ep"
+    else:
+        tag = "unbroken" if abs(mismatch) < threshold else "broken"
+    return (pair[idx[0]], pair[idx[1]]), tag
+
+
+class TestBranchKernel:
+    @staticmethod
+    def _points(rng, count):
+        # random points plus exact coalescences, zero mismatch and zero coupling
+        mismatch = rng.uniform(-400.0, 400.0, count)
+        coupling = rng.uniform(0.0, 150.0, count)
+        mismatch[::4] = 2.0 * coupling[::4] * rng.choice([-1.0, 1.0], mismatch[::4].size)
+        mismatch[1::8] = 0.0
+        coupling[2::8] = 0.0
+        return mismatch, coupling
+
+    def test_static_matches_sorted_reference(self, rng):
+        for d0, gc in zip(*self._points(rng, 2000)):
+            d0, gc = float(d0), float(gc)
+            values, tag = _pointwise_branches(0.5 * d0, d0, gc)
+            b = static_eigenvalues(d0, gc)
+            assert b.values == values and b.tag == tag
+            assert all(type(v) is complex for v in b.values)
+
+    def test_floquet_and_rwa_match_sorted_reference(self, rng):
+        for mu, g in zip(*self._points(rng, 2000)):
+            w = float(rng.uniform(500.0, 4000.0))
+            n = int(rng.integers(0, 4))
+            sign = float(rng.choice([-1.0, 1.0]))
+            d0 = sign * (n * w + float(mu))
+            ns = n if d0 >= 0 else -n
+            values, tag = _pointwise_branches(0.5 * (d0 + ns * w), d0 - ns * w, float(g))
+            b = floquet_eigenvalues(d0, w, n, float(g))
+            assert b.values == values and b.tag == tag
+            p = ModelParams(delta0=d0, omega_b=w, n1=n, gamma_c=float(g))
+            r = rwa_model(p).branches()
+            values, tag = _pointwise_branches(
+                0.5 * (d0 + ns * w), d0 - ns * w, effective_coupling(float(g), 0.0, w, n, 0)
+            )
+            assert r.values == values and r.tag == tag
+
+    def test_vector_root_matches_scalar_root(self, rng):
+        mismatch, coupling = self._points(rng, 5000)
+        roots = branch_root(mismatch, coupling)
+        for mu, g, root in zip(mismatch, coupling, roots):
+            assert root == cmath.sqrt(0.25 * mu * mu - g * g)
+            # the separation observable's former clipped real form
+            assert 2.0 * root.real == 2.0 * math.sqrt(max(0.25 * mu * mu - g * g, 0.0))
+
+    def test_classify_phase_codes(self):
+        codes = classify_phase(np.array([0.0, 9.5, 10.0, 10.5, 20.0]), 10.0, 0.5)
+        assert codes.tolist() == [0, 1, 1, 1, 2]
 
 
 class TestLabFrameModel:

@@ -91,3 +91,27 @@ def test_immutable_updates():
     p = ModelParams(delta0=-100.0)
     q = p.but(delta0=-200.0)
     assert p.delta0 == -100.0 and q.delta0 == -200.0
+
+
+NAN, INF = float("nan"), float("inf")
+_FLOAT_PARAMS = ("delta0", "gamma_c", "gamma12", "delta_b", "omega_b", "delta_zeeman0", "stark_shift")
+_BAD_INPUTS = (
+    [pytest.param({f: v}, {}, f"{f} must be finite", id=f"{f}={v}")
+     for f in _FLOAT_PARAMS for v in (NAN, INF, -INF)]
+    + [pytest.param({}, {f: v}, f"{f} must be finite", id=f"{f}={v}")
+       for f in ("rel_tol", "abs_tol", "sim_duration") for v in (NAN, INF)]
+    + [pytest.param({}, {"grid": GridSpec(NAN, 1000.0, 2.0)}, "grid_start must be finite",
+                    id="grid_start=nan"),
+       pytest.param({}, {"grid": GridSpec(-4000.0, INF, 2.0)}, "grid_stop must be finite",
+                    id="grid_stop=inf"),
+       pytest.param({}, {"grid": GridSpec(-4000.0, 1000.0, NAN)}, "grid_step must be finite",
+                    id="grid_step=nan")]
+)
+
+
+@pytest.mark.parametrize("pchanges, cchanges, expected", _BAD_INPUTS)
+def test_non_finite_fields_rejected(pchanges, cchanges, expected):
+    p = ModelParams(delta0=-3050.0, gamma_c=93.0, omega_b=3000.0, delta_b=4300.0, n1=1).but(**pchanges)
+    report = validate(p, SimConfig(truncation_m=5).but(**cchanges))  # must not raise
+    assert not report.ok
+    assert any(expected in v for v in report.violations), report.violations
