@@ -184,19 +184,20 @@ class LabFrameModel:
     """Time-periodic 2x2 generator of the driven dissipatively coupled pair.
 
     ``matrix(t)`` returns the Hamiltonian in Hz; ``fast_generator()`` the
-    2*pi-scaled version fed to the integrator.  ``H(t + T) = H(t)`` exactly
+    2*pi-scaled version fed to the integrator; ``undamped_states(s0, ts)``
+    the exact solution without the decay.  ``H(t + T) = H(t)`` exactly
     with ``T = 1/omega_b``, and ``delta_b = 0`` with ``n1 = n2 = 0`` reduces
     the matrix to the static one.
     """
 
-    def __init__(self, params: ModelParams, include_decay: bool = True):
+    def __init__(self, params: ModelParams):
         self.params = params
         self.gamma_eff = effective_coupling(
             params.gamma_c, params.delta_b, params.omega_b, params.n1, params.n2
         )
         self.n_signed = params.n_signed
         self.period = 1.0 / params.omega_b
-        self._gamma12 = params.gamma12 if include_decay else 0.0
+        self._gamma12 = params.gamma12
 
     def matrix(self, t: float) -> np.ndarray:
         p = self.params
@@ -214,9 +215,9 @@ class LabFrameModel:
     def fast_generator(self):
         """``2*pi * matrix(t)`` as a closure reusing one scratch matrix.
 
-        The integrator calls the generator millions of times in long
-        time-domain runs; this avoids per-call array construction.  The
-        returned callable must not be used concurrently.
+        The integrator calls the generator at every Runge-Kutta stage;
+        this avoids per-call array construction.  The returned callable
+        must not be used concurrently.
         """
         p = self.params
         buf = np.empty((2, 2), dtype=complex)
@@ -237,6 +238,36 @@ class LabFrameModel:
             return buf
 
         return gen
+
+    def undamped_states(self, s0, ts) -> np.ndarray:
+        """Exact states ``s(t)`` from ``s(0) = s0``, without the rigid decay.
+
+        Returns shape ``(len(ts), 2)``.  The decay ``-i*gamma12`` is left
+        out: it multiplies every state by ``exp(-2 pi gamma12 t)``.  In the
+        frame rotating at ``n_s*omega_b/2`` the generator is the constant
+        ``K0 = [[m/2, i*Gamma_eff], [i*Gamma_eff, -m/2]]`` (``m = delta0 -
+        n_s*omega_b``) plus a scalar, so with ``lam = branch_root(m,
+        Gamma_eff)``
+
+            exp(-2 pi i K0 t) = cos(2 pi lam t) I - i 2 pi t sinc(2 lam t) K0,
+
+        which stays finite at the EP (``lam = 0``), where the eigenvectors
+        of ``K0`` coalesce.  The scalar part is the phase of ``delta0/2``
+        and of the common modulation ``delta_b*cos(2 pi omega_b t)``.
+        For ``|m| < 2*Gamma_eff`` the root is imaginary, the entries grow as
+        ``exp(2 pi |lam| t)`` and long spans overflow to inf or nan.
+        """
+        p = self.params
+        ts = np.asarray(ts, dtype=float)[:, None]
+        s0 = np.asarray(s0, dtype=complex)
+        m = p.delta0 - self.n_signed * p.omega_b
+        k0 = np.array([[0.5 * m, 1j * self.gamma_eff], [1j * self.gamma_eff, -0.5 * m]])
+        lam = branch_root(m, self.gamma_eff)
+        u = np.cos(TWO_PI * lam * ts) * s0 - 1j * TWO_PI * ts * np.sinc(2.0 * lam * ts) * (k0 @ s0)
+        w = TWO_PI * p.omega_b
+        scalar = 0.5 * p.delta0 * ts + p.delta_b * np.sin(w * ts) / w
+        frame = np.exp(-0.5j * w * self.n_signed * ts * np.array([1.0, -1.0]))
+        return frame * np.exp(-1j * TWO_PI * scalar) * u
 
 
 @dataclass(frozen=True)

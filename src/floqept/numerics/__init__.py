@@ -1,6 +1,6 @@
 """Self-contained numerical kernels: Bessel functions, complex eigenproblems,
-adaptive Runge-Kutta integration, single-frequency spectral projection and
-Levenberg-Marquardt least squares."""
+adaptive Runge-Kutta integration, spectral projection (single frequency and
+chirp z-transform scan) and Levenberg-Marquardt least squares."""
 
 from .bessel import bessel_j
 from .eig import EigenPair, eig_small

@@ -11,7 +11,9 @@ Sign conventions
 ----------------
 ``delta0`` keeps its experimental sign internally (red detuning is
 negative).  User-facing reports use ``abs(delta0)`` and the mismatch
-``mu = abs(delta0) - n*omega_b`` with ``n = n1 - n2 >= 0``.
+``mu = abs(delta0) - n*omega_b`` with ``n = n1 - n2``.  ``n`` may be
+negative (``n1 < n2``): the coupling rate uses ``|J_-m| = |J_m|``, so a
+negative ``n`` only flips the sign of the sideband offset ``n*omega_b``.
 """
 
 from __future__ import annotations

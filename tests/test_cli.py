@@ -128,6 +128,19 @@ def test_beat_summary(tmp_path):
     assert abs(summary["beat_hz"] - 50.0) < 2.5
 
 
+def test_beat_overflow_exit_3_without_nan_csv(tmp_path):
+    # |mismatch| = 0 < 2*Gamma_eff: the undamped states grow past float range
+    r = run_cli(
+        "beat", "--out", str(tmp_path), "--delta0", "-3000", "--gamma-c", "2000",
+        "--gamma12", "50", "--delta-b", "4300", "--omega-b", "3000", "--n1", "1",
+        "--sim-duration", "0.5", "--rel-tol", "1e-6", "--abs-tol", "1e-9",
+    )
+    assert r.returncode == 3
+    assert r.stderr.strip()
+    csv = tmp_path / "beat.csv"
+    assert not csv.exists() or "nan" not in csv.read_text().lower()
+
+
 def test_ep_closed_form(tmp_path):
     r = run_cli(
         "ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1",

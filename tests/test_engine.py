@@ -17,6 +17,7 @@ from floqept import (
 from floqept.engine import TWO_PI, LabFrameModel, branch_root, classify_phase, static_hamiltonian
 from floqept.numerics.bessel import bessel_j
 from floqept.numerics.eig import eig_small, order_eigenvalues
+from floqept.numerics.integrate import integrate_linear
 
 
 class TestStaticEigenvalues:
@@ -233,6 +234,60 @@ class TestLabFrameModel:
         gen = model.fast_generator()
         for t in (0.0, 0.7e-4, 3.1e-4):
             assert np.allclose(gen(t).copy(), TWO_PI * model.matrix(t), atol=1e-12)
+
+
+def _rotating_frame_state(model, s, t):
+    """Undo the sideband frame rotation and the scalar phase of a lab state."""
+    p = model.params
+    w = TWO_PI * p.omega_b
+    frame = np.exp(0.5j * w * model.n_signed * t * np.array([1.0, -1.0]))
+    scalar = 0.5 * p.delta0 * t + p.delta_b * math.sin(w * t) / w
+    return frame * np.exp(1j * TWO_PI * scalar) * s
+
+
+class TestUndampedStates:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    @pytest.mark.parametrize("side", [0.5, 1.5])  # mismatch / (2*Gamma_eff): either side of the EP
+    def test_one_period_matches_monodromy(self, n, sign, side):
+        geff = effective_coupling(93.0, 4300.0, 3000.0, n, 0)
+        p = ModelParams(delta0=sign * (n * 3000.0 + side * 2.0 * geff), gamma_c=93.0,
+                        gamma12=20.0, delta_b=4300.0, omega_b=3000.0, n1=n, n2=0)
+        model = LabFrameModel(p)
+        period = model.period
+        mono = np.column_stack([model.undamped_states(e, [period])[0] for e in np.eye(2)])
+        mono *= math.exp(-TWO_PI * p.gamma12 * period)
+        exact = 1j * np.log(np.linalg.eigvals(mono)) / (TWO_PI * period)
+        rk = monodromy_quasienergies(p, SimConfig(rel_tol=1e-10, abs_tol=1e-13))
+        for q in rk.values:
+            folded = (q.real - exact.real + 0.5 * p.omega_b) % p.omega_b - 0.5 * p.omega_b
+            assert np.min(np.hypot(folded, q.imag - exact.imag)) <= 1e-6
+
+    def test_matches_integrator_over_twenty_periods(self, coupled_point):
+        model = LabFrameModel(coupled_point)
+        s0 = np.array([0.6, 0.8j])
+        ts = np.linspace(0.0, 20.0 * model.period, 201)[1:]  # interior sample times
+        traj = integrate_linear(model.fast_generator(), s0, (0.0, ts[-1]),
+                                rel_tol=1e-10, abs_tol=1e-13, t_eval=ts)
+        exact = model.undamped_states(s0, ts) * np.exp(-TWO_PI * coupled_point.gamma12 * ts)[:, None]
+        assert np.allclose(exact, traj.ys, rtol=1e-8, atol=1e-10)
+
+    def test_finite_at_exact_ep(self):
+        # gamma_c = 111 makes the rounded mismatch land exactly on 2*Gamma_eff
+        geff = effective_coupling(111.0, 4300.0, 3000.0, 1, 0)
+        p = ModelParams(delta0=-(3000.0 + 2.0 * geff), gamma_c=111.0, gamma12=20.0,
+                        delta_b=4300.0, omega_b=3000.0, n1=1, n2=0)
+        m = p.delta0 - p.n_signed * p.omega_b
+        assert branch_root(m, geff) == 0.0
+        model = LabFrameModel(p)
+        s0 = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        k0 = np.array([[0.5 * m, 1j * geff], [1j * geff, -0.5 * m]])
+        ts = np.array([0.0, 1e-4, 3.3e-3, 0.2])
+        states = model.undamped_states(s0, ts)
+        assert np.all(np.isfinite(states))
+        for t, s in zip(ts, states):
+            limit = (np.eye(2) - 2j * math.pi * t * k0) @ s0
+            assert np.allclose(_rotating_frame_state(model, s, t), limit, rtol=1e-12, atol=1e-12)
 
 
 class TestMonodromy:
