@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    band_pair_coupling,
     branch_root,
     classify_phase,
     effective_coupling,
@@ -319,7 +320,7 @@ def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,
         raise ValueError("target coupling rate must be >= 0")
 
     def f(x):
-        return gamma_c * abs(bessel_j(abs(n1), x) * bessel_j(abs(n2), x)) - target_gamma_eff
+        return band_pair_coupling(gamma_c, x, n1, n2) - target_gamma_eff
 
     xs = np.arange(0.0, x_max, 0.02)
     lo = None

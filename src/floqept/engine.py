@@ -52,6 +52,7 @@ __all__ = [
     "classify_phase",
     "static_hamiltonian",
     "static_eigenvalues",
+    "band_pair_coupling",
     "effective_coupling",
     "floquet_eigenvalues",
     "LabFrameModel",
@@ -157,15 +158,22 @@ def static_eigenvalues(delta0: float, gamma_c: float) -> Branches:
     return _branches(0.5 * delta0, delta0, gamma_c)
 
 
-def effective_coupling(gamma_c: float, delta_b: float, omega_b: float, n1: int, n2: int) -> float:
-    """Band-pair dissipative coupling rate ``|J_n1(x) J_n2(x)| * gamma_c``.
+def band_pair_coupling(gamma_c: float, x: float, n1: int, n2: int) -> float:
+    """``gamma_c * |J_n1(x) J_n2(x)|`` at the modulation index ``x``.
 
-    ``x = delta_b / omega_b``.  The product form for both indices nonzero is
-    the measured-case generalization; the monodromy route provides the
-    independent check of it.  Negative indices use ``|J_-m| = |J_m|``.
+    The product form for both indices nonzero is the measured-case
+    generalization; the monodromy route provides the independent check of
+    it.  Negative indices use ``|J_-m| = |J_m|``.
     """
-    x = delta_b / omega_b
     return gamma_c * abs(bessel_j(abs(n1), x) * bessel_j(abs(n2), x))
+
+
+def effective_coupling(gamma_c: float, delta_b: float, omega_b: float, n1: int, n2: int) -> float:
+    """Band-pair dissipative coupling rate at ``x = delta_b / omega_b``.
+
+    See :func:`band_pair_coupling`.
+    """
+    return band_pair_coupling(gamma_c, delta_b / omega_b, n1, n2)
 
 
 def floquet_eigenvalues(delta0: float, omega_b: float, n: int, gamma_eff: float) -> Branches:
@@ -475,29 +483,113 @@ def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> Sideban
     )
 
 
-def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel: int,
+def _hessenberg(a: np.ndarray):
+    """Householder reduction ``a = q @ h @ q^*`` with ``h`` upper Hessenberg.
+
+    A column whose entries below the subdiagonal are already zero is left
+    as it is, so a matrix that is already Hessenberg gives ``q = I``
+    exactly.
+    """
+    h = np.array(a, dtype=complex)
+    n = h.shape[0]
+    q = np.eye(n, dtype=complex)
+    for k in range(n - 2):
+        x = h[k + 1:, k]
+        tail = np.linalg.norm(x[1:])
+        if tail == 0.0:
+            continue
+        alpha = x[0]
+        phase = alpha / abs(alpha) if alpha != 0 else 1.0
+        v = x.copy()
+        v[0] += phase * math.hypot(abs(alpha), tail)
+        v /= np.linalg.norm(v)
+        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
+        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
+        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
+        h[k + 2:, k] = 0.0
+    return h, q
+
+
+def _shifted_hessenberg_solve(h: np.ndarray, deltas: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve ``(h + delta*I) y = c`` for every ``delta`` at once, ``O(n^2)`` each.
+
+    ``h`` is ``(n, n)`` upper Hessenberg and ``c`` is ``(n, k)``; returns
+    ``y`` of shape ``(n, k, len(deltas))``.  Gaussian elimination needs
+    only the subdiagonal removed, pivoting between neighbouring rows: the
+    row carried down from the previous step and the next row of ``h``.
+
+    Raises
+    ------
+    SingularSteadyStateError
+        On an exactly zero pivot or a non-finite solution entry.
+    """
+    n = h.shape[0]
+    g = deltas.size
+    row = np.repeat(h[0, :, None], g, axis=1)
+    row[0] += deltas
+    row_rhs = np.repeat(c[0, :, None], g, axis=1)
+    pivots, pivot_rhs = [], []
+    with np.errstate(all="ignore"):  # zero pivots and overflow are caught below
+        for k in range(n - 1):
+            nxt = np.repeat(h[k + 1, k:, None], g, axis=1)
+            nxt[1] += deltas
+            nxt_rhs = c[k + 1, :, None]
+            swap = np.abs(nxt[0]) > np.abs(row[0])
+            piv, other = np.where(swap, nxt, row), np.where(swap, row, nxt)
+            piv_rhs = np.where(swap, nxt_rhs, row_rhs)
+            factor = other[0] / piv[0]
+            row = other[1:] - factor * piv[1:]
+            row_rhs = np.where(swap, row_rhs, nxt_rhs) - factor * piv_rhs
+            pivots.append(piv)
+            pivot_rhs.append(piv_rhs)
+        pivots.append(row)
+        pivot_rhs.append(row_rhs)
+        if not all(np.all(u[0]) for u in pivots):
+            raise SingularSteadyStateError("singular steady-state system in grid solve: zero pivot")
+        y = np.empty((n, c.shape[1], g), dtype=complex)
+        for k in range(n - 1, -1, -1):
+            u = pivots[k]
+            y[k] = (pivot_rhs[k] - np.einsum("jg,jkg->kg", u[1:], y[k + 1:])) / u[0]
+    if not np.all(np.isfinite(y)):
+        raise SingularSteadyStateError(
+            "singular steady-state system in grid solve: non-finite solution"
+        )
+    return y
+
+
+def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
                       deltas, amplitude: complex = 1.0):
     """Vectorized steady-state powers over a probe-detuning grid.
 
     Returns ``(powers, sidebands)`` with ``powers[j, g]`` the channel-(j+1)
     power at grid point g and ``sidebands[j, m + M, g]`` the per-sideband
-    powers.  Equivalent to calling :func:`steady_state_response` per point;
-    the base matrix is assembled once and only the diagonal shifts.
+    powers.  ``probe_channel`` may also be a sequence of channels, solved
+    together as one right-hand-side column each; the results then carry a
+    leading axis over those channels, ``powers[i, j, g]`` and
+    ``sidebands[i, j, m + M, g]`` for the i-th probed channel.
+
+    Equivalent to calling :func:`steady_state_response` per point.  The
+    delta-independent base matrix is reduced once, ``A0 = Q H Q^*`` with
+    ``H`` upper Hessenberg (Householder reflections), so each grid point
+    solves ``(H + delta I) y = Q^* b`` by an ``O(N^2)`` elimination,
+    vectorized over the grid, and maps back with ``s = Q y``.
+
+    Raises
+    ------
+    SingularSteadyStateError
+        On an exactly zero pivot or a non-finite solution at any grid point.
     """
     deltas = np.asarray(deltas, dtype=float)
+    channels = np.atleast_1d(probe_channel)
     mtrunc = cfg.truncation_m
     width = 2 * mtrunc + 1
-    size = 2 * width
-    base = _hb_base_matrix(params, mtrunc)
-    eye = np.eye(size, dtype=complex)
-    stack = base[None, :, :] + deltas[:, None, None] * eye[None, :, :]
-    rhs = np.zeros((deltas.size, size), dtype=complex)
-    rhs[:, (probe_channel - 1) * width + mtrunc] = amplitude
-    try:
-        sol = np.linalg.solve(stack, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularSteadyStateError(f"singular steady-state system in grid solve: {exc}") from exc
-    amps = sol.reshape(deltas.size, 2, width)
-    sidebands = np.abs(amps) ** 2
+    h, q = _hessenberg(_hb_base_matrix(params, mtrunc))
+    rhs = np.zeros((2 * width, channels.size), dtype=complex)
+    rhs[(channels - 1) * width + mtrunc, np.arange(channels.size)] = amplitude
+    y = _shifted_hessenberg_solve(h, deltas, q.conj().T @ rhs)
+    amps = (q @ y.reshape(2 * width, -1)).reshape(2, width, channels.size, deltas.size)
+    sidebands = np.moveaxis(np.abs(amps) ** 2, 2, 0)
     powers = sidebands.sum(axis=2)
-    return powers.T.copy(), np.transpose(sidebands, (1, 2, 0)).copy()
+    if np.ndim(probe_channel) == 0:
+        return powers[0], sidebands[0]
+    return powers, sidebands

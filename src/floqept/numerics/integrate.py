@@ -85,8 +85,9 @@ def integrate_linear(
     rel_tol, abs_tol : float
         Local error tolerances per step (elementwise weighted RMS norm).
     t_eval : array_like, optional
-        Strictly increasing interior sample times; each is hit exactly by
-        clamping the step.  The endpoints need not be included.
+        Strictly increasing sample times within ``t_span``; each is hit
+        exactly by clamping the step.  The endpoints need not be included;
+        a sample at ``t0`` records ``s0``.
     max_step : float
         Upper bound on the step size.
 
@@ -138,6 +139,12 @@ def integrate_linear(
     sample_ts: list[float] = []
     sample_ys: list[np.ndarray] = []
     next_eval = 0
+    if eval_times is not None and eval_times.size and (
+        eval_times[0] - t0 <= 1e-12 * max(1.0, abs(t0))
+    ):
+        sample_ts.append(t0)
+        sample_ys.append(y.copy())
+        next_eval = 1
 
     while t < t1:
         if n_steps > _MAX_STEPS:

@@ -16,9 +16,11 @@ import numpy as np
 from .engine import (
     EngineError,
     LabFrameModel,
+    SingularSteadyStateError,
     branch_root,
     effective_coupling,
     steady_state_grid,
+    steady_state_response,
 )
 from .numerics.spectral import refine_scan
 from .params import ModelParams, SimConfig
@@ -110,23 +112,23 @@ def synthesize_spectrum(params: ModelParams, cfg: SimConfig,
     """Sweep the harmonic-balance solver over the probe-detuning grid.
 
     With both channels probed, each channel's curve is its own-probe power
-    (the coupled two-channel configuration).  With a single probed channel,
-    both curves come from that one probe: the unprobed channel's curve is
-    the dissipatively transferred response.
+    (the coupled two-channel configuration); both probes are solved in one
+    :func:`~floqept.engine.steady_state_grid` call, one right-hand-side
+    column each, on a single Hessenberg reduction of the base matrix.
+    With a single probed channel, both curves come from that one probe: the
+    unprobed channel's curve is the dissipatively transferred response.
     """
     grid_pts = cfg.grid.points() if grid is None else np.asarray(grid, dtype=float)
     probed = tuple(sorted(set(probed_channels)))
-    width = 2 * cfg.truncation_m + 1
     powers: dict[int, np.ndarray] = {}
     sidebands: dict[int, np.ndarray] = {}
     if probed == (1, 2):
+        p, sb = _grid_solve_annotated(params, cfg, probed, grid_pts, amplitude)
         for ch in (1, 2):
-            p, sb = _grid_solve_annotated(params, cfg, ch, grid_pts, amplitude)
-            powers[ch] = p[ch - 1]
-            sidebands[ch] = sb[ch - 1]
+            powers[ch] = p[ch - 1, ch - 1]
+            sidebands[ch] = sb[ch - 1, ch - 1]
     elif len(probed) == 1:
-        ch = probed[0]
-        p, sb = _grid_solve_annotated(params, cfg, ch, grid_pts, amplitude)
+        p, sb = _grid_solve_annotated(params, cfg, probed[0], grid_pts, amplitude)
         for read in (1, 2):
             powers[read] = p[read - 1]
             sidebands[read] = sb[read - 1]
@@ -143,20 +145,24 @@ def synthesize_spectrum(params: ModelParams, cfg: SimConfig,
     )
 
 
-def _grid_solve_annotated(params, cfg, channel, grid_pts, amplitude):
-    """Batched grid solve; on failure, re-solve pointwise to name the culprit."""
-    from .engine import SingularSteadyStateError, steady_state_response
+def _grid_solve_annotated(params, cfg, channels, grid_pts, amplitude):
+    """Batched grid solve; on failure, re-solve pointwise to name the culprit.
 
+    ``channels`` is one probed channel or a tuple of them, passed on to
+    :func:`~floqept.engine.steady_state_grid`; the pointwise re-solve tries
+    every probed channel at each grid point.
+    """
     try:
-        return steady_state_grid(params, cfg, channel, grid_pts, amplitude)
+        return steady_state_grid(params, cfg, channels, grid_pts, amplitude)
     except SingularSteadyStateError:
         for delta in grid_pts:
-            try:
-                steady_state_response(params, cfg, (channel, float(delta), amplitude))
-            except SingularSteadyStateError as exc:
-                raise SingularSteadyStateError(
-                    f"steady-state solve failed at grid point delta = {delta:g} Hz: {exc}"
-                ) from exc
+            for channel in np.atleast_1d(channels):
+                try:
+                    steady_state_response(params, cfg, (int(channel), float(delta), amplitude))
+                except SingularSteadyStateError as exc:
+                    raise SingularSteadyStateError(
+                        f"steady-state solve failed at grid point delta = {delta:g} Hz: {exc}"
+                    ) from exc
         raise
 
 

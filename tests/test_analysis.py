@@ -191,6 +191,19 @@ class TestModulationDepthSolver:
         with pytest.raises(ValueError):
             solve_modulation_depth(93.0, 1500.0, 2, 0, 43.0)
 
+    @pytest.mark.parametrize(
+        "args, recorded",
+        [
+            ((93.0, 3000.0, 1, 0, 30.0), 2584.60666160496),
+            ((300.0, 1500.0, 2, 0, 43.0), 4664.117899278028),
+            ((300.0, 1000.0, 3, 0, 45.0), 3530.173559248021),
+        ],
+    )
+    def test_bisection_values_unchanged(self, args, recorded):
+        # recorded from the inline-Bessel-product solver; the shared
+        # band_pair_coupling works on x directly, so nothing moves by rounding
+        assert solve_modulation_depth(*args) == recorded
+
     def test_coupling_blockade_at_j0_zero(self):
         # drive ratio at the first J0 zero kills the first-order coupling
         x0 = 2.404825557695773

@@ -30,6 +30,14 @@ def test_grid_error_names_offending_point():
         synthesize_spectrum(p, cfg, probed_channels=(1,), grid=grid)
 
 
+def test_two_channel_grid_error_names_offending_point():
+    p = ModelParams(delta0=0.0, gamma_c=0.0, gamma12=0.0, delta_b=0.0, omega_b=3000.0)
+    cfg = SimConfig(truncation_m=2)
+    grid = np.array([-10.0, 0.0, 10.0])
+    with pytest.raises(SingularSteadyStateError, match="delta = 0"):
+        synthesize_spectrum(p, cfg, probed_channels=(1, 2), grid=grid)
+
+
 def test_sideband_labels_from_trace_params():
     p = ModelParams(delta0=0.0, gamma_c=5.0, gamma12=50.0, delta_b=3000.0,
                     omega_b=3100.0, n1=0, n2=0)

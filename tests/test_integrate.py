@@ -12,6 +12,21 @@ def test_constant_scalar_exponential():
     assert traj.final_y[0] == pytest.approx(np.exp(-1j * lam), abs=1e-10)
 
 
+def test_t_eval_sample_at_t0_records_initial_state():
+    # a sample at the span start is recorded, and the later ones are reached
+    omega = 2.0 * math.pi * 3.0
+    period = 2.0 * math.pi / omega
+    s0 = np.array([0.6 + 0j, 0.8j])
+    t_eval = np.linspace(0.0, 20.0 * period, 5)
+    traj = integrate_linear(lambda t: np.diag([omega, -omega]).astype(complex), s0,
+                            (0.0, t_eval[-1]), rel_tol=1e-10, abs_tol=1e-13, t_eval=t_eval)
+    assert traj.ys.shape == (5, 2)
+    assert traj.ts[0] == 0.0 and np.allclose(traj.ts, t_eval, rtol=1e-12, atol=0.0)
+    assert np.array_equal(traj.ys[0], s0)
+    exact = np.exp(-1j * np.outer(t_eval, [omega, -omega])) * s0
+    assert np.allclose(traj.ys, exact, rtol=0.0, atol=1e-7)
+
+
 def test_tolerance_controls_error():
     # error should drop roughly in proportion to the requested tolerance
     lam = 7.0

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from floqept import ModelParams, SimConfig, SingularSteadyStateError
-from floqept.engine import TWO_PI, LabFrameModel, steady_state_grid, steady_state_response
+from floqept.engine import (
+    TWO_PI,
+    LabFrameModel,
+    _hessenberg,
+    _shifted_hessenberg_solve,
+    branch_root,
+    effective_coupling,
+    steady_state_grid,
+    steady_state_response,
+)
 from floqept.numerics.bessel import bessel_j
 
 
@@ -52,14 +61,69 @@ def test_singular_system_raises():
         steady_state_response(p, cfg, (1, 0.0, 1.0))
 
 
-def test_grid_matches_single_solves(coupled_point, base_cfg):
-    deltas = np.array([-3100.0, -3050.0, -3000.0])
-    powers, sidebands = steady_state_grid(coupled_point, base_cfg, 1, deltas)
+def _grid_point(coupled_point, case):
+    """``n<order>_<sign of delta0>``: band order 1, 2 or 3, 50 Hz off its
+    sideband; or "ep": gamma_c = 111 puts the rounded mismatch exactly on
+    2*Gamma_eff."""
+    if case == "ep":
+        geff = effective_coupling(111.0, 4300.0, 3000.0, 1, 0)
+        p = coupled_point.but(delta0=-(3000.0 + 2.0 * geff), gamma_c=111.0, gamma12=20.0)
+        assert branch_root(p.delta0 - p.n_signed * p.omega_b, geff) == 0.0
+        return p
+    n, sign = int(case[1]), (1.0 if case.endswith("pos") else -1.0)
+    return coupled_point.but(delta0=sign * (n * 3000.0 + 50.0), n1=n)
+
+
+@pytest.mark.parametrize("channels", [1, 2, (1, 2)], ids=["ch1", "ch2", "both"])
+@pytest.mark.parametrize(
+    "case", ["n1_neg", "n1_pos", "n2_neg", "n2_pos", "n3_neg", "n3_pos", "ep"]
+)
+def test_grid_matches_single_solves(coupled_point, base_cfg, case, channels):
+    p = _grid_point(coupled_point, case)
+    sideband = p.n_signed * p.omega_b
+    deltas = np.array([p.delta0 - 50.0, p.delta0, p.delta0 + 50.0, 0.0, sideband,
+                       sideband + 25.0])
+    powers, sidebands = steady_state_grid(p, base_cfg, channels, deltas)
+    if np.ndim(channels) == 0:
+        assert powers.shape == (2, deltas.size)
+        assert sidebands.shape == (2, 2 * base_cfg.truncation_m + 1, deltas.size)
+        powers, sidebands = powers[None], sidebands[None]
+    for i, channel in enumerate(np.atleast_1d(channels)):
+        for g, delta in enumerate(deltas):
+            sol = steady_state_response(p, base_cfg, (int(channel), float(delta), 1.0))
+            assert powers[i, 0, g] == pytest.approx(sol.channel_power(1), rel=1e-10)
+            assert powers[i, 1, g] == pytest.approx(sol.channel_power(2), rel=1e-10)
+            for j in (0, 1):
+                assert sidebands[i, j, :, g] == pytest.approx(np.abs(sol.amps[j]) ** 2,
+                                                              rel=1e-10)
+
+
+def test_hessenberg_reduction_and_shifted_solve(rng):
+    # a = q h q^*, h upper Hessenberg, q unitary; the shifted solve needs its
+    # neighbour-row pivoting: every diagonal of h + delta*I is at most 1e-12
+    n = 12
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h, q = _hessenberg(a)
+    assert np.allclose(q @ h @ q.conj().T, a, rtol=0.0, atol=1e-12)
+    assert np.allclose(q.conj().T @ q, np.eye(n), rtol=0.0, atol=1e-13)
+    assert not np.any(np.tril(h, -2))
+    already = np.triu(a, -1)
+    h0, q0 = _hessenberg(already)
+    assert np.array_equal(q0, np.eye(n)) and np.array_equal(h0, already)
+    h = np.triu(rng.normal(size=(n, n)) + 1j, -1)
+    h[np.diag_indices(n)] = 0.0
+    deltas = np.array([1e-12, -1e-13, 1e-14])
+    c = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    y = _shifted_hessenberg_solve(h, deltas, c)
     for g, delta in enumerate(deltas):
-        sol = steady_state_response(coupled_point, base_cfg, (1, float(delta), 1.0))
-        assert powers[0, g] == pytest.approx(sol.channel_power(1), rel=1e-10)
-        assert powers[1, g] == pytest.approx(sol.channel_power(2), rel=1e-10)
-        assert sidebands[0, :, g] == pytest.approx(np.abs(sol.amps[0]) ** 2, rel=1e-10)
+        want = np.linalg.solve(h + delta * np.eye(n), c)
+        assert np.allclose(y[:, :, g], want, rtol=1e-10, atol=0.0)
+
+
+def test_shifted_solve_zero_pivot_raises():
+    h = np.diag([1.0, 0.0, 2.0]).astype(complex)
+    with pytest.raises(SingularSteadyStateError, match="zero pivot"):
+        _shifted_hessenberg_solve(h, np.array([0.5, 0.0]), np.ones((3, 1), dtype=complex))
 
 
 def test_sideband_weights_follow_bessel_squares():
