@@ -1,6 +1,6 @@
 """floqept: two periodically driven, dissipatively coupled spin-wave modes.
 
-Eigenvalue branches (closed form, rotating-wave, exact monodromy),
+Eigenvalue branches (static and band-pair closed forms, exact monodromy),
 harmonic-balance spectra, peak/separation/beat observables and
 exceptional-point analysis, all in plain Hz units.
 """
@@ -16,7 +16,6 @@ from .engine import (
     floquet_eigenvalues,
     monodromy_quasienergies,
     quasienergy_gap,
-    rwa_model,
     static_eigenvalues,
     steady_state_grid,
     steady_state_response,
@@ -61,7 +60,6 @@ __all__ = [
     "floquet_eigenvalues",
     "monodromy_quasienergies",
     "quasienergy_gap",
-    "rwa_model",
     "static_eigenvalues",
     "steady_state_grid",
     "steady_state_response",

@@ -143,6 +143,8 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
 
     Raises
     ------
+    ValueError
+        If ``bracket`` is not finite or not ordered ``lo < hi``.
     BracketError
         If the indicator does not change sign across the bracket.
     """
@@ -154,6 +156,8 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         hi = n * params.omega_b + 10.0 * max(params.gamma_c, 1.0)
     else:
         lo, hi = float(bracket[0]), float(bracket[1])
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"bracket must be finite with lo < hi, got [{lo:g}, {hi:g}]")
     indicator = _split_indicator(params, cfg, route, gamma_eff)
 
     split_lo = indicator(lo)

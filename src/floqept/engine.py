@@ -1,10 +1,11 @@
 """Model Hamiltonians, eigenvalue branches and the harmonic-balance
 steady-state solver.
 
-Three independent eigenvalue routes are provided:
+Two independent eigenvalue routes are provided:
 
-* closed forms for the static and Floquet-coupled two-mode systems,
-* the rotating-wave effective model carrying the band-pair coupling rate,
+* closed forms for the static and Floquet-coupled two-mode systems; the
+  Floquet one (:func:`floquet_eigenvalues`) is the rotating-wave result
+  for the declared band pair,
 * exact monodromy quasi-energies of the lab-frame time-periodic system.
 
 Lab-frame model
@@ -56,8 +57,6 @@ __all__ = [
     "effective_coupling",
     "floquet_eigenvalues",
     "LabFrameModel",
-    "RwaModel",
-    "rwa_model",
     "QuasiEnergySet",
     "monodromy_quasienergies",
     "quasienergy_gap",
@@ -279,39 +278,6 @@ class LabFrameModel:
 
 
 @dataclass(frozen=True)
-class RwaModel:
-    """Rotating-wave effective model: band-pair coupling with its phase law.
-
-    The off-diagonal elements are ``i*gamma_eff*exp(-+ i 2 pi (delta0 -
-    n_s*omega_b) t)`` in the frame where both carriers are static; treating
-    them as stationary gives the closed-form Floquet branches.
-    """
-
-    delta0: float
-    n_omega_b: float  # n_s * omega_b, the coupled sideband frame
-    gamma_eff: float
-    mismatch: float  # delta0 - n_s * omega_b, the oscillation exponent rate
-    gamma12: float
-
-    def branches(self) -> Branches:
-        """Stationary-phase eigenvalues of the effective model."""
-        return _branches(0.5 * (self.delta0 + self.n_omega_b), self.mismatch, self.gamma_eff)
-
-
-def rwa_model(params: ModelParams) -> RwaModel:
-    """Build the RWA effective model for the declared band pair."""
-    geff = effective_coupling(params.gamma_c, params.delta_b, params.omega_b, params.n1, params.n2)
-    ns = params.n_signed
-    return RwaModel(
-        delta0=params.delta0,
-        n_omega_b=ns * params.omega_b,
-        gamma_eff=geff,
-        mismatch=params.delta0 - ns * params.omega_b,
-        gamma12=params.gamma12,
-    )
-
-
-@dataclass(frozen=True)
 class QuasiEnergySet:
     """Two quasi-energies with real parts folded to [-omega_b/2, omega_b/2).
 
@@ -521,7 +487,8 @@ def _shifted_hessenberg_solve(h: np.ndarray, deltas: np.ndarray, c: np.ndarray) 
     Raises
     ------
     SingularSteadyStateError
-        On an exactly zero pivot or a non-finite solution entry.
+        On an exactly zero pivot or a non-finite solution entry, naming the
+        first ``delta`` where it occurs.
     """
     n = h.shape[0]
     g = deltas.size
@@ -544,17 +511,22 @@ def _shifted_hessenberg_solve(h: np.ndarray, deltas: np.ndarray, c: np.ndarray) 
             pivot_rhs.append(piv_rhs)
         pivots.append(row)
         pivot_rhs.append(row_rhs)
-        if not all(np.all(u[0]) for u in pivots):
-            raise SingularSteadyStateError("singular steady-state system in grid solve: zero pivot")
+        zero = np.any([u[0] == 0 for u in pivots], axis=0)
+        if zero.any():
+            raise _singular_at(deltas, zero, "zero pivot")
         y = np.empty((n, c.shape[1], g), dtype=complex)
         for k in range(n - 1, -1, -1):
             u = pivots[k]
             y[k] = (pivot_rhs[k] - np.einsum("jg,jkg->kg", u[1:], y[k + 1:])) / u[0]
-    if not np.all(np.isfinite(y)):
-        raise SingularSteadyStateError(
-            "singular steady-state system in grid solve: non-finite solution"
-        )
+    bad = ~np.all(np.isfinite(y), axis=(0, 1))
+    if bad.any():
+        raise _singular_at(deltas, bad, "non-finite solution")
     return y
+
+
+def _singular_at(deltas: np.ndarray, bad: np.ndarray, reason: str) -> SingularSteadyStateError:
+    delta = deltas[np.argmax(bad)]
+    return SingularSteadyStateError(f"singular steady-state system at delta = {delta:g} Hz: {reason}")
 
 
 def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
@@ -577,7 +549,8 @@ def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
     Raises
     ------
     SingularSteadyStateError
-        On an exactly zero pivot or a non-finite solution at any grid point.
+        On an exactly zero pivot or a non-finite solution at any grid point;
+        the message names the first such ``delta``.
     """
     deltas = np.asarray(deltas, dtype=float)
     channels = np.atleast_1d(probe_channel)

@@ -16,11 +16,9 @@ import numpy as np
 from .engine import (
     EngineError,
     LabFrameModel,
-    SingularSteadyStateError,
     branch_root,
     effective_coupling,
     steady_state_grid,
-    steady_state_response,
 )
 from .numerics.spectral import refine_scan
 from .params import ModelParams, SimConfig
@@ -123,12 +121,12 @@ def synthesize_spectrum(params: ModelParams, cfg: SimConfig,
     powers: dict[int, np.ndarray] = {}
     sidebands: dict[int, np.ndarray] = {}
     if probed == (1, 2):
-        p, sb = _grid_solve_annotated(params, cfg, probed, grid_pts, amplitude)
+        p, sb = steady_state_grid(params, cfg, probed, grid_pts, amplitude)
         for ch in (1, 2):
             powers[ch] = p[ch - 1, ch - 1]
             sidebands[ch] = sb[ch - 1, ch - 1]
     elif len(probed) == 1:
-        p, sb = _grid_solve_annotated(params, cfg, probed[0], grid_pts, amplitude)
+        p, sb = steady_state_grid(params, cfg, probed[0], grid_pts, amplitude)
         for read in (1, 2):
             powers[read] = p[read - 1]
             sidebands[read] = sb[read - 1]
@@ -143,27 +141,6 @@ def synthesize_spectrum(params: ModelParams, cfg: SimConfig,
         params=params,
         cfg=cfg,
     )
-
-
-def _grid_solve_annotated(params, cfg, channels, grid_pts, amplitude):
-    """Batched grid solve; on failure, re-solve pointwise to name the culprit.
-
-    ``channels`` is one probed channel or a tuple of them, passed on to
-    :func:`~floqept.engine.steady_state_grid`; the pointwise re-solve tries
-    every probed channel at each grid point.
-    """
-    try:
-        return steady_state_grid(params, cfg, channels, grid_pts, amplitude)
-    except SingularSteadyStateError:
-        for delta in grid_pts:
-            for channel in np.atleast_1d(channels):
-                try:
-                    steady_state_response(params, cfg, (int(channel), float(delta), amplitude))
-                except SingularSteadyStateError as exc:
-                    raise SingularSteadyStateError(
-                        f"steady-state solve failed at grid point delta = {delta:g} Hz: {exc}"
-                    ) from exc
-        raise
 
 
 def _prominences(y: np.ndarray, maxima: np.ndarray) -> np.ndarray:

@@ -66,6 +66,12 @@ class TestLocateEp:
             locate_ep(floquet_template, 1, "closed-form", ep_cfg,
                       bracket=(3200.0, 3400.0))
 
+    @pytest.mark.parametrize("bracket", [(float("nan"), 3100.0), (3100.0, 3000.0),
+                                         (3050.0, 3050.0)])
+    def test_non_finite_or_reversed_bracket_raises(self, floquet_template, ep_cfg, bracket):
+        with pytest.raises(ValueError, match="lo < hi"):
+            locate_ep(floquet_template, 1, "closed-form", ep_cfg, bracket=bracket)
+
     def test_bracket_contains_threshold(self, floquet_template, ep_cfg):
         r = locate_ep(floquet_template, 1, "closed-form", ep_cfg)
         assert r.bracket[0] <= r.delta0_star <= r.bracket[1]

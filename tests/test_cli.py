@@ -162,6 +162,47 @@ def test_ep_bad_bracket_exit_3(tmp_path):
     assert r.returncode == 3
 
 
+@pytest.mark.parametrize("bracket", ["nan:3100", "3100:3000", "1:2:3"])
+def test_ep_malformed_bracket_exit_2(tmp_path, bracket):
+    r = run_cli(
+        "ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1",
+        "--delta0", "-3050", "--gamma-c", "93", "--omega-b", "3000",
+        "--delta-b", "4300", "--n1", "1", "--truncation-m", "5",
+        f"--bracket={bracket}",
+    )
+    assert r.returncode == 2
+    assert "bracket" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "ep.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("eigen", "--sweep-delta0", "5:1:1"),
+    ("eigen", "--sweep-delta0", "1:5:0"),
+    ("eigen", "--sweep-delta0", "a:b:c"),
+    ("eigen", "--sweep-delta0", "0:inf:1"),
+    ("eigen", "--sweep-delta0", "0:nan:1"),
+    ("eigen", "--sweep-delta0=-1e308:1e308:1"),
+    ("spectrum", "--grid=-6500:6500:-4"),
+    ("gamma-curve", "--sweep-omega-b", "8000:2500:500"),
+], ids=lambda args: " ".join(args))
+def test_malformed_sweep_exit_2(tmp_path, args):
+    r = run_cli(*args, "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_fit_non_finite_param_exit_2_without_manifest(tmp_path):
+    data = tmp_path / "heights.csv"
+    data.write_text("omega_b,height\n1000,0.1\n2000,0.2\n4000,0.3\n")
+    r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
+                "--m", "1", "--input", str(data), "--delta0", "nan")
+    assert r.returncode == 2
+    assert "must be finite" in r.stderr
+    assert not (tmp_path / "fit_manifest.json").exists()
+
+
 def test_fit_missing_input_exit_4(tmp_path):
     r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
                 "--m", "1", "--input", str(tmp_path / "missing.csv"))
@@ -250,6 +291,15 @@ def test_manifest_reproduces_run(tmp_path):
     )
     assert r.returncode == 0
     assert (out1 / "eigen.csv").read_bytes() == (out2 / "eigen.csv").read_bytes()
+
+
+def test_manifest_records_main_argv(tmp_path):
+    from floqept.cli import main
+
+    argv = ["eigen", "--static", "--delta0", "-186", "--gamma-c", "93", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "eigen_manifest.json").read_text())
+    assert manifest["argv"] == argv
 
 
 def test_gamma_curve_smoke(tmp_path):

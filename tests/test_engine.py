@@ -11,7 +11,6 @@ from floqept import (
     floquet_eigenvalues,
     monodromy_quasienergies,
     quasienergy_gap,
-    rwa_model,
     static_eigenvalues,
 )
 from floqept.engine import TWO_PI, LabFrameModel, branch_root, classify_phase, static_hamiltonian
@@ -146,13 +145,6 @@ class TestFloquetEigenvalues:
             ns = -n
             assert b.nu_plus + b.nu_minus == pytest.approx(d0 + ns * w, abs=1e-8)
 
-    def test_rwa_model_matches_closed_form(self, coupled_point):
-        b1 = rwa_model(coupled_point).branches()
-        g = effective_coupling(93.0, 4300.0, 3000.0, 1, 0)
-        b2 = floquet_eigenvalues(-3050.0, 3000.0, 1, g)
-        assert b1.values == pytest.approx(b2.values)
-        assert b1.tag == b2.tag
-
 
 def _pointwise_branches(center, mismatch, coupling):
     """Reference closed form: scalar root, explicit sort, scalar tag."""
@@ -196,12 +188,6 @@ class TestBranchKernel:
             values, tag = _pointwise_branches(0.5 * (d0 + ns * w), d0 - ns * w, float(g))
             b = floquet_eigenvalues(d0, w, n, float(g))
             assert b.values == values and b.tag == tag
-            p = ModelParams(delta0=d0, omega_b=w, n1=n, gamma_c=float(g))
-            r = rwa_model(p).branches()
-            values, tag = _pointwise_branches(
-                0.5 * (d0 + ns * w), d0 - ns * w, effective_coupling(float(g), 0.0, w, n, 0)
-            )
-            assert r.values == values and r.tag == tag
 
     def test_vector_root_matches_scalar_root(self, rng):
         mismatch, coupling = self._points(rng, 5000)
