@@ -12,6 +12,7 @@ from .engine import (
     LabFrameModel,
     QuasiEnergySet,
     SingularSteadyStateError,
+    coupling_rate,
     effective_coupling,
     floquet_eigenvalues,
     monodromy_quasienergies,
@@ -56,6 +57,7 @@ __all__ = [
     "LabFrameModel",
     "QuasiEnergySet",
     "SingularSteadyStateError",
+    "coupling_rate",
     "effective_coupling",
     "floquet_eigenvalues",
     "monodromy_quasienergies",

@@ -17,11 +17,11 @@ import numpy as np
 
 from .engine import (
     band_pair_coupling,
-    branch_root,
     classify_phase,
+    coupling_rate,
     effective_coupling,
+    is_split,
     monodromy_quasienergies,
-    quasienergy_gap,
 )
 from .numerics.bessel import bessel_j
 from .numerics.fit import FitResult, lm_fit
@@ -90,56 +90,42 @@ class GammaCurve:
         return self.gamma_eff - model
 
 
+def _closed_form_rate(params: ModelParams, gamma_eff_override: float | None) -> float:
+    """``|Gamma_eff|`` of the closed-form route: the prescribed rate, else the model's."""
+    return abs(coupling_rate(params) if gamma_eff_override is None else gamma_eff_override)
+
+
 def _split_indicator(params: ModelParams, cfg: SimConfig, route: str,
                      gamma_eff_override: float | None):
     """Return f(|delta0|) -> True when the pair has bifurcated (broken)."""
-    n = params.n
-    sign = -1.0 if params.delta0 <= 0 else 1.0
-
     if route == "closed-form":
-        geff = (
-            gamma_eff_override
-            if gamma_eff_override is not None
-            else effective_coupling(params.gamma_c, params.delta_b, params.omega_b,
-                                    params.n1, params.n2)
-        )
-
-        def indicator(d0_abs: float) -> bool:
-            return bool(branch_root(d0_abs - n * params.omega_b, geff).real > 0.0)
-
-        return indicator
-
+        threshold = 2.0 * _closed_form_rate(params, gamma_eff_override)
+        return lambda d0_abs: abs(d0_abs - params.n * params.omega_b) > threshold
     if route == "monodromy":
-        def indicator(d0_abs: float) -> bool:
-            q = monodromy_quasienergies(params.but(delta0=sign * d0_abs), cfg)
-            return quasienergy_gap(q) > 1.0
-
-        return indicator
-
+        return lambda d0_abs: is_split(monodromy_quasienergies(params.at_detuning(d0_abs), cfg))
     if route == "spectral-pipeline":
-        def indicator(d0_abs: float) -> bool:
-            point = _separation_point(params.but(delta0=sign * d0_abs), cfg)
-            return not point.merged
-
-        return indicator
-
+        return lambda d0_abs: not _separation_point(params.at_detuning(d0_abs), cfg).merged
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
 def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
               bracket=None, gamma_eff: float | None = None,
               tol: float = 0.5) -> EpResult:
-    """Bisect ``|delta0|`` for the symmetry-breaking threshold of band order n.
+    """Locate the symmetry-breaking threshold of band order n on ``|delta0|``.
 
-    The bifurcation indicator depends on the route: sign of the closed
-    form's discriminant, the folded quasi-energy real-part gap crossing
-    1 Hz, or the merged flag of the spectral separation pipeline.  The
-    default bracket is ``[n*omega_b, n*omega_b + 10*gamma_c]``; bisection
-    stops when the bracket width drops below ``tol`` (0.5 Hz).
+    The bifurcation indicator depends on the route: ``| |delta0| - n*omega_b |
+    > 2*|Gamma_eff|`` (closed form), the folded quasi-energy real-part gap
+    crossing 1 Hz (monodromy), or the merged flag of the spectral separation
+    pipeline.  It must differ at the two ends of the bracket, by default
+    ``[n*omega_b, n*omega_b + 10*gamma_c]``.  The closed-form route then
+    returns the exact root ``n*omega_b + 2*|Gamma_eff|`` (``-`` when the
+    bracket holds the lower crossing) with ``iterations = 0`` and the bracket
+    collapsed onto it; the other routes bisect until the bracket is narrower
+    than ``tol`` (0.5 Hz) and report its midpoint.
 
     ``gamma_eff`` overrides the Bessel-product coupling rate for the
     closed-form route (used when the rate is prescribed rather than derived
-    from the drive).
+    from the drive); its sign is ignored.
 
     Raises
     ------
@@ -161,12 +147,15 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
     indicator = _split_indicator(params, cfg, route, gamma_eff)
 
     split_lo = indicator(lo)
-    split_hi = indicator(hi)
-    if split_lo == split_hi:
+    if split_lo == indicator(hi):
         raise BracketError(
             f"no bifurcation in bracket [{lo:g}, {hi:g}] Hz via {route}: "
             f"indicator is {'split' if split_lo else 'merged'} at both ends"
         )
+    if route == "closed-form":
+        # the exact root; a bracket that starts split holds the lower crossing
+        side = -2.0 if split_lo else 2.0
+        lo = hi = n * params.omega_b + side * _closed_form_rate(params, gamma_eff)
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

@@ -37,10 +37,11 @@ from .analysis import (
 )
 from .engine import (
     EngineError,
+    coupling_rate,
     effective_coupling,
     floquet_eigenvalues,
+    is_split,
     monodromy_quasienergies,
-    quasienergy_gap,
     static_eigenvalues,
 )
 from .io import RunManifest, read_xy_csv, write_csv, write_json
@@ -78,7 +79,7 @@ def _numbers(text: str, form: str) -> list[float]:
     except ValueError:
         parts = []
     if len(parts) != len(form.split(":")) or not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError(f"expected {form} with finite numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected finite {form}, got {text!r}")
     return parts
 
 
@@ -96,6 +97,20 @@ def _grid(text: str) -> GridSpec:
     if sweep.size < 2:
         raise argparse.ArgumentTypeError(f"grid {text!r} needs at least two points")
     return GridSpec(float(sweep[0]), float(sweep[-1]), float(sweep[1] - sweep[0]))
+
+
+def _positive(text: str) -> float:
+    (value,) = _numbers(text, "NUMBER")
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
+    return value
+
+
+def _nonnegative(text: str) -> float:
+    (value,) = _numbers(text, "NUMBER")
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return value
 
 
 def _bracket(text: str) -> tuple[float, float]:
@@ -170,16 +185,14 @@ def _run(args, argv: list) -> int:
 
 def _eigen(args, params, cfg):
     routes = ("static", "rwa", "monodromy") if args.route == "all" else (args.route,)
-    sign = -1.0 if params.delta0 <= 0 else 1.0
-    gamma_eff = effective_coupling(params.gamma_c, params.delta_b, params.omega_b,
-                                   params.n1, params.n2)
+    gamma_eff = coupling_rate(params)
     rows = []
     for d0_abs in [abs(params.delta0)] if args.sweep_delta0 is None else args.sweep_delta0:
-        p = params.but(delta0=sign * d0_abs)
+        p = params.at_detuning(d0_abs)
         for route in routes:
             if route == "monodromy":
                 q = monodromy_quasienergies(p, cfg)
-                values, tag = q.values, "broken" if quasienergy_gap(q) > 1.0 else "unbroken"
+                values, tag = q.values, "broken" if is_split(q) else "unbroken"
             else:
                 b = (static_eigenvalues(p.delta0, p.gamma_c) if route == "static"
                      else floquet_eigenvalues(p.delta0, p.omega_b, p.n, gamma_eff))
@@ -297,8 +310,8 @@ _COMMANDS = {
     }),
     "spectrum": ("synthesized response spectra", _spectrum, {
         "--probe": {"choices": ("ch1", "ch2", "both"), "default": "both"},
-        "--amplitude": {"type": float, "default": 1.0},
-        "--prominence-rel": {"type": float, "default": 0.02},
+        "--amplitude": {"type": _positive, "default": 1.0},
+        "--prominence-rel": {"type": _positive, "default": 0.02},
     }),
     "separation": ("EIT peak separation vs |delta0|", _separation, {
         "--sweep-delta0": {**_SWEEP, "required": True},
@@ -307,7 +320,7 @@ _COMMANDS = {
     "ep": ("locate the exceptional point", _ep, {
         "--route": {"choices": ROUTES, "default": "closed-form"},
         "--n": {"type": int, "help": "band order (default: n1-n2)"},
-        "--gamma-eff": {"type": float, "help": "prescribe the coupling rate (closed-form route)"},
+        "--gamma-eff": {"type": _nonnegative, "help": "prescribed coupling rate, Hz (closed-form route)"},
         "--bracket": {"type": _bracket, "metavar": "LO:HI", "help": "|delta0| bracket, Hz"},
     }),
     "gamma-curve": ("EP-extracted coupling rate vs drive frequency", _gamma_curve, {
@@ -322,7 +335,7 @@ _COMMANDS = {
         "--sweep-delta0": {**_SWEEP, "required": True},
         "--sweep-omega-b": {**_SWEEP, "required": True},
         "--n": {"type": int, "required": True},
-        "--resolution": {"type": float, "default": 1.0},
+        "--resolution": {"type": _positive, "default": 1.0},
     }),
 }
 

@@ -55,11 +55,13 @@ __all__ = [
     "static_eigenvalues",
     "band_pair_coupling",
     "effective_coupling",
+    "coupling_rate",
     "floquet_eigenvalues",
     "LabFrameModel",
     "QuasiEnergySet",
     "monodromy_quasienergies",
     "quasienergy_gap",
+    "is_split",
     "SidebandSolution",
     "steady_state_response",
     "steady_state_grid",
@@ -175,6 +177,11 @@ def effective_coupling(gamma_c: float, delta_b: float, omega_b: float, n1: int, 
     return band_pair_coupling(gamma_c, delta_b / omega_b, n1, n2)
 
 
+def coupling_rate(params: ModelParams) -> float:
+    """The model's ``Gamma_eff``: its declared band pair at its own drive."""
+    return effective_coupling(params.gamma_c, params.delta_b, params.omega_b, params.n1, params.n2)
+
+
 def floquet_eigenvalues(delta0: float, omega_b: float, n: int, gamma_eff: float) -> Branches:
     """Closed-form Floquet branches of the band-pair coupled system.
 
@@ -199,9 +206,7 @@ class LabFrameModel:
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.gamma_eff = effective_coupling(
-            params.gamma_c, params.delta_b, params.omega_b, params.n1, params.n2
-        )
+        self.gamma_eff = coupling_rate(params)
         self.n_signed = params.n_signed
         self.period = 1.0 / params.omega_b
         self._gamma12 = params.gamma12
@@ -300,6 +305,11 @@ def quasienergy_gap(qset: QuasiEnergySet) -> float:
     return abs(d)
 
 
+def is_split(q: QuasiEnergySet) -> bool:
+    """True when the folded real parts are more than 1 Hz apart (broken phase)."""
+    return quasienergy_gap(q) > 1.0
+
+
 def monodromy_quasienergies(params: ModelParams, cfg: SimConfig) -> QuasiEnergySet:
     """Exact Floquet quasi-energies from the one-period fundamental matrix.
 
@@ -375,32 +385,23 @@ class SidebandSolution:
 
 
 def _hb_base_matrix(params: ModelParams, mtrunc: int) -> np.ndarray:
-    """Delta-independent part of the harmonic-balance block matrix."""
-    size = 2 * (2 * mtrunc + 1)
+    """Delta-independent harmonic-balance matrix: each term on its own diagonal, +0 elsewhere."""
     width = 2 * mtrunc + 1
-    a = np.zeros((size, size), dtype=complex)
-    d = (params.delta0 + params.stark_shift, params.stark_shift)
-    geff = effective_coupling(params.gamma_c, params.delta_b, params.omega_b, params.n1, params.n2)
-    ns = params.n_signed
-    half_drive = 0.5 * params.delta_b
+    ms = np.arange(-mtrunc, mtrunc + 1)
+    ladder = np.eye(width, k=1, dtype=bool) | np.eye(width, k=-1, dtype=bool)
+    coupling = -1j * coupling_rate(params)
 
-    def ix(j, m):
-        return j * width + (m + mtrunc)
+    def channel(d: float) -> np.ndarray:
+        diagonal = np.diag(ms * params.omega_b - d + 1j * params.gamma12)
+        return np.where(ladder, -0.5 * params.delta_b, diagonal)
 
-    for j in (0, 1):
-        for m in range(-mtrunc, mtrunc + 1):
-            row = ix(j, m)
-            a[row, row] = m * params.omega_b - d[j] + 1j * params.gamma12
-            if m - 1 >= -mtrunc:
-                a[row, ix(j, m - 1)] = -half_drive
-            if m + 1 <= mtrunc:
-                a[row, ix(j, m + 1)] = -half_drive
-    for m in range(-mtrunc, mtrunc + 1):
-        if -mtrunc <= m - ns <= mtrunc:
-            a[ix(0, m), ix(1, m - ns)] = -1j * geff
-        if -mtrunc <= m + ns <= mtrunc:
-            a[ix(1, m), ix(0, m + ns)] = -1j * geff
-    return a
+    def cross(k: int) -> np.ndarray:
+        return np.where(np.eye(width, k=k, dtype=bool), coupling, 0j)
+
+    return np.block([
+        [channel(params.delta0 + params.stark_shift), cross(-params.n_signed)],
+        [cross(params.n_signed), channel(params.stark_shift)],
+    ])
 
 
 def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> SidebandSolution:

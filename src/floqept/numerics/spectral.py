@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spectral_amplitude", "refine_scan"]
+__all__ = ["spectral_amplitude", "parabolic_shift", "refine_scan"]
 
 
 def spectral_amplitude(samples, dt: float, f: float, t0: float = 0.0) -> complex:
@@ -37,6 +37,14 @@ def spectral_amplitude(samples, dt: float, f: float, t0: float = 0.0) -> complex
         raise ValueError(f"frequency {f} Hz is at or above Nyquist {nyquist} Hz")
     t = t0 + dt * np.arange(y.size)
     return complex(np.mean(y * np.exp(2j * np.pi * f * t)))
+
+
+def parabolic_shift(ym, y0, yp) -> float:
+    """Vertex offset, in sample spacings from ``y0``, of the parabola through
+    three equally spaced samples; clipped to ``[-1/2, 1/2]``, 0 if collinear."""
+    denom = ym - 2 * y0 + yp
+    shift = 0.5 * (ym - yp) / denom if denom != 0 else 0.0
+    return float(np.clip(shift, -0.5, 0.5))
 
 
 def _chirp_z_magnitudes(y: np.ndarray, dt: float, f0: float, df: float, count: int) -> np.ndarray:
@@ -84,13 +92,7 @@ def refine_scan(samples, dt: float, f_grid, t0: float = 0.0):
         raise ValueError("f_grid must be uniformly spaced")
     mags = _chirp_z_magnitudes(y, dt, fs[0], df, fs.size) / y.size
     i = int(np.argmax(mags))
-    if 0 < i < fs.size - 1:
-        ym, y0, yp = mags[i - 1], mags[i], mags[i + 1]
-        denom = ym - 2 * y0 + yp
-        shift = 0.5 * (ym - yp) / denom if denom != 0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
+    shift = parabolic_shift(*mags[i - 1:i + 2]) if 0 < i < fs.size - 1 else 0.0
     f_star = fs[i] + shift * (fs[1] - fs[0])
     amp = spectral_amplitude(y, dt, f_star, t0=t0)
     return float(f_star), amp, mags

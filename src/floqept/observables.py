@@ -17,10 +17,10 @@ from .engine import (
     EngineError,
     LabFrameModel,
     branch_root,
-    effective_coupling,
+    coupling_rate,
     steady_state_grid,
 )
-from .numerics.spectral import refine_scan
+from .numerics.spectral import parabolic_shift, refine_scan
 from .params import ModelParams, SimConfig
 
 __all__ = [
@@ -227,9 +227,7 @@ def detect_peaks(trace, prominence: float, channel: int | None = None,
     peaks = []
     for i in keep:
         ym, y0, yp = y[i - 1], y[i], y[i + 1]
-        denom = ym - 2 * y0 + yp
-        shift = 0.5 * (ym - yp) / denom if denom != 0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
+        shift = parabolic_shift(ym, y0, yp)
         step = x[i + 1] - x[i] if shift >= 0 else x[i] - x[i - 1]
         center = x[i] + shift * step
         height = y0 - 0.25 * (ym - yp) * shift
@@ -266,18 +264,12 @@ def separation_curve(params: ModelParams, delta0_abs_grid, cfg: SimConfig,
     separation 0.  Each point also carries the closed-form eigenmode
     separation ``2*Re sqrt(mu^2/4 - Gamma_eff^2)`` for comparison.
     """
-    sign = -1.0 if params.delta0 <= 0 else 1.0
-    out = []
-    for d0_abs in np.asarray(delta0_abs_grid, dtype=float):
-        p = params.but(delta0=sign * d0_abs)
-        out.append(_separation_point(p, cfg, rel_prominence))
-    return out
+    return [_separation_point(params.at_detuning(d0_abs), cfg, rel_prominence)
+            for d0_abs in np.asarray(delta0_abs_grid, dtype=float)]
 
 
 def _separation_point(params: ModelParams, cfg: SimConfig,
                       rel_prominence: float = 0.02) -> SeparationPoint:
-    geff = effective_coupling(params.gamma_c, params.delta_b, params.omega_b,
-                              params.n1, params.n2)
     ns = params.n_signed
     c1 = params.delta0 + params.stark_shift
     c2 = ns * params.omega_b + params.stark_shift
@@ -306,8 +298,7 @@ def _separation_point(params: ModelParams, cfg: SimConfig,
         fwhms.append(peak.fwhm)
 
     separation = abs(centers[0] - centers[1])
-    mu = abs(params.delta0) - params.n * params.omega_b
-    eigen_sep = 2.0 * float(branch_root(mu, geff).real)
+    eigen_sep = 2.0 * float(branch_root(params.mismatch, coupling_rate(params)).real)
     merged = separation < _merge_floor(step, params.gamma12)
     return SeparationPoint(
         delta0_abs=abs(params.delta0),

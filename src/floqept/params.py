@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 __all__ = [
     "ModelParams",
@@ -94,6 +93,11 @@ class ModelParams:
         """``mu = |delta0| - n * omega_b``, the Floquet frame detuning in Hz."""
         return abs(self.delta0) - self.n * self.omega_b
 
+    def at_detuning(self, d0_abs: float) -> "ModelParams":
+        """Copy with ``|delta0| = d0_abs`` on the side of ``delta0`` (red when ``delta0 = 0``)."""
+        sign = -1.0 if self.delta0 <= 0 else 1.0
+        return self.but(delta0=sign * d0_abs)
+
     def but(self, **changes) -> "ModelParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)
@@ -112,9 +116,6 @@ class GridSpec:
 
         count = int(math.floor((self.stop - self.start) / self.step + 0.5)) + 1
         return self.start + self.step * np.arange(count)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.points())
 
 
 @dataclass(frozen=True)

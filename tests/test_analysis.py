@@ -6,6 +6,7 @@ from floqept import (
     GridSpec,
     ModelParams,
     SimConfig,
+    coupling_rate,
     effective_coupling,
     fit_sideband_heights,
     harvest_sideband_heights,
@@ -71,6 +72,24 @@ class TestLocateEp:
     def test_non_finite_or_reversed_bracket_raises(self, floquet_template, ep_cfg, bracket):
         with pytest.raises(ValueError, match="lo < hi"):
             locate_ep(floquet_template, 1, "closed-form", ep_cfg, bracket=bracket)
+
+    def test_closed_form_is_the_exact_root(self, floquet_template, ep_cfg):
+        r = locate_ep(floquet_template, 1, "closed-form", ep_cfg)
+        star = floquet_template.omega_b + 2 * coupling_rate(floquet_template)
+        assert r.delta0_star == star
+        assert r.iterations == 0
+        assert r.bracket == (star, star)
+
+    def test_closed_form_lower_crossing(self, floquet_template, ep_cfg):
+        r = locate_ep(floquet_template, 1, "closed-form", ep_cfg, bracket=(2900.0, 3000.0))
+        assert r.delta0_star == floquet_template.omega_b - 2 * coupling_rate(floquet_template)
+        assert r.iterations == 0
+
+    @pytest.mark.parametrize("rate", [30.0, -30.0])
+    def test_closed_form_prescribed_rate_sign_ignored(self, floquet_template, ep_cfg, rate):
+        r = locate_ep(floquet_template, 1, "closed-form", ep_cfg, gamma_eff=rate)
+        assert r.delta0_star == floquet_template.omega_b + 60.0
+        assert r.gamma_eff == 30.0
 
     def test_bracket_contains_threshold(self, floquet_template, ep_cfg):
         r = locate_ep(floquet_template, 1, "closed-form", ep_cfg)

@@ -193,6 +193,28 @@ def test_malformed_sweep_exit_2(tmp_path, args):
     assert not list(tmp_path.glob("*.csv"))
 
 
+EP_CLOSED_FORM = ("ep", "--route", "closed-form", "--n", "1", "--delta0", "-3050",
+                  "--gamma-c", "93", "--omega-b", "3000", "--delta-b", "4300", "--n1", "1",
+                  "--truncation-m", "5")
+SMALL_SPECTRUM = ("spectrum", "--probe", "ch1", "--grid=-100:100:4")
+
+
+@pytest.mark.parametrize("args", [
+    ("phase-diagram", "--sweep-delta0", "2900:3200:5", "--sweep-omega-b", "2800:3200:50",
+     "--n", "1", "--gamma-c", "93", "--delta-b", "4300", "--n1", "1", "--resolution", "nan"),
+    EP_CLOSED_FORM + ("--gamma-eff", "-5"),
+    EP_CLOSED_FORM + ("--gamma-eff", "nan"),
+    SMALL_SPECTRUM + ("--amplitude", "nan"),
+    SMALL_SPECTRUM + ("--amplitude", "0"),
+    SMALL_SPECTRUM + ("--prominence-rel", "-1"),
+], ids=lambda args: " ".join(args[:1] + args[-2:]))
+def test_malformed_float_option_exit_2(tmp_path, args):
+    r = run_cli(*args, "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_fit_non_finite_param_exit_2_without_manifest(tmp_path):
     data = tmp_path / "heights.csv"
     data.write_text("omega_b,height\n1000,0.1\n2000,0.2\n4000,0.3\n")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from floqept import GridSpec, ModelParams, SimConfig, validate
@@ -8,6 +10,16 @@ def test_valid_point():
     p = ModelParams(omega_b=3000.0, delta_b=3000.0)
     cfg = SimConfig(truncation_m=4)
     assert validate(p, cfg).ok  # ceil(1) + 3 = 4 satisfied
+
+
+def test_at_detuning_keeps_the_side_of_delta0():
+    red, blue = ModelParams(delta0=-3050.0, gamma_c=93.0), ModelParams(delta0=3050.0)
+    assert red.at_detuning(2900.0) == red.but(delta0=-2900.0)
+    assert blue.at_detuning(2900.0).delta0 == 2900.0
+    assert math.copysign(1.0, blue.at_detuning(0.0).delta0) == 1.0
+    # delta0 = 0 counts as red, so the swept zero is -0.0
+    for p in (red, ModelParams(delta0=0.0)):
+        assert math.copysign(1.0, p.at_detuning(0.0).delta0) == -1.0
 
 
 def test_zero_omega_b_flagged():
