@@ -53,7 +53,7 @@ class EpResult:
     """Located exceptional point on the ``|delta0|`` axis.
 
     ``gamma_eff`` is the coupling rate inferred from the threshold via
-    ``mu* = 2*Gamma_eff``.
+    ``|mu*| = 2*Gamma_eff``, nonnegative at either crossing.
     """
 
     delta0_star: float
@@ -97,15 +97,28 @@ def _closed_form_rate(params: ModelParams, gamma_eff_override: float | None) -> 
 
 def _split_indicator(params: ModelParams, cfg: SimConfig, route: str,
                      gamma_eff_override: float | None):
-    """Return f(|delta0|) -> True when the pair has bifurcated (broken)."""
+    """Return f(|delta0| array) -> bool array, True where the pair has bifurcated (broken)."""
     if route == "closed-form":
         threshold = 2.0 * _closed_form_rate(params, gamma_eff_override)
-        return lambda d0_abs: abs(d0_abs - params.n * params.omega_b) > threshold
+        return lambda d0_abs: np.abs(d0_abs - params.n * params.omega_b) > threshold
     if route == "monodromy":
-        return lambda d0_abs: is_split(monodromy_quasienergies(params.at_detuning(d0_abs), cfg))
+        return lambda d0_abs: np.array([is_split(q) for q in monodromy_quasienergies(params, cfg, d0_abs)])
     if route == "spectral-pipeline":
-        return lambda d0_abs: not _separation_point(params.at_detuning(d0_abs), cfg).merged
+        return lambda d0_abs: np.array(
+            [not _separation_point(params.at_detuning(d), cfg).merged for d in d0_abs.tolist()])
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+
+
+def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
+    """Every midpoint the bisection can visit in its next ``levels`` steps from ``[lo, hi]``.
+
+    The same ``0.5*(lo + hi)`` recursion and ``hi - lo > tol`` stop as the
+    bisection loop, so the loop finds each midpoint it reaches here.
+    """
+    if levels == 0 or not hi - lo > tol:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid] + _midpoints(lo, mid, tol, levels - 1) + _midpoints(mid, hi, tol, levels - 1)
 
 
 def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
@@ -121,7 +134,10 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
     returns the exact root ``n*omega_b + 2*|Gamma_eff|`` (``-`` when the
     bracket holds the lower crossing) with ``iterations = 0`` and the bracket
     collapsed onto it; the other routes bisect until the bracket is narrower
-    than ``tol`` (0.5 Hz) and report its midpoint.
+    than ``tol`` (0.5 Hz) and report its midpoint.  The monodromy route
+    evaluates both bracket ends, then the midpoints of the next four
+    bisection levels, in one batched integration each.  The reported rate
+    is ``|mu*|/2`` at either crossing.
 
     ``gamma_eff`` overrides the Bessel-product coupling rate for the
     closed-form route (used when the rate is prescribed rather than derived
@@ -130,10 +146,13 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
     Raises
     ------
     ValueError
-        If ``bracket`` is not finite or not ordered ``lo < hi``.
+        If ``bracket`` is not finite or not ordered ``lo < hi``, or if
+        ``gamma_eff`` is given for a route other than closed-form.
     BracketError
         If the indicator does not change sign across the bracket.
     """
+    if gamma_eff is not None and route != "closed-form":
+        raise ValueError(f"a prescribed gamma_eff applies to the closed-form route only, not {route!r}")
     if n is not None and n != params.n:
         params = params.but(n1=n, n2=0)
     n = params.n
@@ -145,9 +164,11 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bracket must be finite with lo < hi, got [{lo:g}, {hi:g}]")
     indicator = _split_indicator(params, cfg, route, gamma_eff)
+    # bisection levels evaluated per indicator call: one RK run serves 2^4 - 1 midpoints
+    levels = 4 if route == "monodromy" else 1
 
-    split_lo = indicator(lo)
-    if split_lo == indicator(hi):
+    split_lo, split_hi = indicator(np.array([lo, hi]))
+    if split_lo == split_hi:
         raise BracketError(
             f"no bifurcation in bracket [{lo:g}, {hi:g}] Hz via {route}: "
             f"indicator is {'split' if split_lo else 'merged'} at both ends"
@@ -158,17 +179,19 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         lo = hi = n * params.omega_b + side * _closed_form_rate(params, gamma_eff)
     iterations = 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if indicator(mid) == split_lo:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+        mids = _midpoints(lo, hi, tol, levels)
+        split = dict(zip(mids, indicator(np.array(mids))))
+        while (mid := 0.5 * (lo + hi)) in split:
+            if split[mid] == split_lo:
+                lo = mid
+            else:
+                hi = mid
+            iterations += 1
     star = 0.5 * (lo + hi)
     mu_star = star - n * params.omega_b
     return EpResult(
         delta0_star=star,
-        gamma_eff=0.5 * mu_star,
+        gamma_eff=0.5 * abs(mu_star),
         route=route,
         bracket=(lo, hi),
         iterations=iterations,

@@ -186,12 +186,15 @@ def _run(args, argv: list) -> int:
 def _eigen(args, params, cfg):
     routes = ("static", "rwa", "monodromy") if args.route == "all" else (args.route,)
     gamma_eff = coupling_rate(params)
+    sweep = [abs(params.delta0)] if args.sweep_delta0 is None else args.sweep_delta0
+    # every monodromy point of the sweep in one batched integration
+    mono = monodromy_quasienergies(params, cfg, sweep) if "monodromy" in routes else None
     rows = []
-    for d0_abs in [abs(params.delta0)] if args.sweep_delta0 is None else args.sweep_delta0:
+    for i, d0_abs in enumerate(sweep):
         p = params.at_detuning(d0_abs)
         for route in routes:
             if route == "monodromy":
-                q = monodromy_quasienergies(p, cfg)
+                q = mono[i]
                 values, tag = q.values, "broken" if is_split(q) else "unbroken"
             else:
                 b = (static_eigenvalues(p.delta0, p.gamma_c) if route == "static"
@@ -234,6 +237,9 @@ def _beat(args, params, cfg):
 
 
 def _ep(args, params, cfg):
+    if args.gamma_eff is not None and args.route != "closed-form":
+        raise SystemExit(_fail(EXIT_VALIDATION,
+                               f"--gamma-eff applies to --route closed-form only, not {args.route}"))
     result = locate_ep(params, args.n, args.route, cfg, bracket=args.bracket,
                        gamma_eff=args.gamma_eff)
     header = ["route", "delta0_star_abs", "mu_star_hz", "gamma_eff_hz", "iterations"]
@@ -354,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value parameter file (default: $FLOQEPT_CONFIG)")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; has no effect (sweeps run serially)")
+                       help="accepted for compatibility; has no effect")
         for field, typ in {**_PARAM_FIELDS, **_CFG_FLAGS}.items():
             p.add_argument(f"--{field.replace('_', '-')}", type=typ)
         p.add_argument("--grid", type=_grid, metavar="START:STOP:STEP",

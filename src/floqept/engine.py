@@ -224,30 +224,36 @@ class LabFrameModel:
             dtype=complex,
         )
 
-    def fast_generator(self):
+    def fast_generator(self, d0_abs=None):
         """``2*pi * matrix(t)`` as a closure reusing one scratch matrix.
 
-        The integrator calls the generator at every Runge-Kutta stage;
-        this avoids per-call array construction.  The returned callable
-        must not be used concurrently.
+        With ``d0_abs``, a sequence of G detunings, the closure returns the
+        ``(G, 2, 2)`` stack of the models at ``params.at_detuning(d)``, one
+        member per detuning; they differ only in ``delta0`` (and in
+        ``n_signed`` where the signed zero flips it).  The integrator calls
+        the generator at every Runge-Kutta stage; this avoids per-call
+        array construction.  The returned callable must not be used
+        concurrently.
         """
         p = self.params
-        buf = np.empty((2, 2), dtype=complex)
+        members = [p] if d0_abs is None else [p.at_detuning(d) for d in d0_abs]
+        buf = np.empty((len(members), 2, 2), dtype=complex)
         w_mod = TWO_PI * p.omega_b
-        w_coup = TWO_PI * self.n_signed * p.omega_b
+        w_coup = TWO_PI * p.omega_b * np.array([m.n_signed for m in members])
         off = 1j * TWO_PI * self.gamma_eff
         decay = -1j * TWO_PI * self._gamma12
-        d0 = TWO_PI * p.delta0
+        d0 = TWO_PI * np.array([m.delta0 for m in members])
         depth = TWO_PI * p.delta_b
+        out = buf[0] if d0_abs is None else buf
 
         def gen(t: float) -> np.ndarray:
             common = depth * math.cos(w_mod * t) + decay
-            phase = cmath.exp(-1j * w_coup * t)
-            buf[0, 0] = d0 + common
-            buf[1, 1] = common
-            buf[0, 1] = off * phase
-            buf[1, 0] = off * phase.conjugate()
-            return buf
+            phase = np.exp(-1j * w_coup * t)
+            buf[:, 0, 0] = d0 + common
+            buf[:, 1, 1] = common
+            buf[:, 0, 1] = off * phase
+            buf[:, 1, 0] = off * phase.conjugate()
+            return out
 
         return gen
 
@@ -310,48 +316,61 @@ def is_split(q: QuasiEnergySet) -> bool:
     return quasienergy_gap(q) > 1.0
 
 
-def monodromy_quasienergies(params: ModelParams, cfg: SimConfig) -> QuasiEnergySet:
+def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
     """Exact Floquet quasi-energies from the one-period fundamental matrix.
 
     Integrates ``dU/dt = -i * 2*pi * H(t) * U`` over one modulation period
     with the embedded Runge-Kutta pair, then takes
     ``nu = i*log(eig(U))/(2*pi*T)`` on the principal branch and folds the
-    real parts into the first Floquet zone.
+    real parts into the first Floquet zone.  Real parts closer than
+    ``rel_tol * omega_b`` (the integration's noise scale) order as ties.
+
+    Without ``d0_abs`` this returns the :class:`QuasiEnergySet` of
+    ``params``.  With a sequence ``d0_abs`` it returns one set per point,
+    for the models ``params.at_detuning(d)``, from a single integration of
+    the whole stack with a shared step sequence.
 
     Raises
     ------
     EngineError
         When a monodromy eigenvalue underflows (log branch ambiguous).
     """
+    # params itself is the stack of one at its own |delta0|
+    points = [abs(params.delta0)] if d0_abs is None else d0_abs
     model = LabFrameModel(params)
     period = model.period
     traj = integrate_linear(
-        model.fast_generator(),
-        np.eye(2, dtype=complex),
+        model.fast_generator(points),
+        np.tile(np.eye(2, dtype=complex), (len(points), 1, 1)),
         (0.0, period),
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
     )
     mono = traj.final_y
     lam = np.linalg.eigvals(mono)
-    if np.any(np.abs(lam) < 1e-300):
-        raise EngineError("monodromy eigenvalue underflow: quasi-energy log branch ambiguous")
+    small = np.any(np.abs(lam) < 1e-300, axis=1)
+    if small.any():
+        raise EngineError(
+            f"monodromy eigenvalue underflow at |delta0| = {points[int(np.argmax(small))]:g} Hz: "
+            "quasi-energy log branch ambiguous"
+        )
     nu = 1j * np.log(lam) / (TWO_PI * period)
     w = params.omega_b
     offsets = np.floor(nu.real / w + 0.5).astype(int)
     folded = nu - offsets * w
-    idx = order_eigenvalues(folded)
-    folded = folded[idx]
-    offsets = offsets[idx]
 
     det_target = math.exp(-2.0 * TWO_PI * params.gamma12 * period)
-    det_residual = abs(abs(np.linalg.det(mono)) - det_target) / det_target
-    return QuasiEnergySet(
-        values=(complex(folded[0]), complex(folded[1])),
-        zone_offsets=(int(offsets[0]), int(offsets[1])),
-        omega_b=w,
-        det_residual=float(det_residual),
-    )
+    det_residual = np.abs(np.abs(np.linalg.det(mono)) - det_target) / det_target
+    sets = []
+    for values, zones, residual in zip(folded, offsets, det_residual):
+        idx = order_eigenvalues(values, tie_tol=cfg.rel_tol * w)
+        sets.append(QuasiEnergySet(
+            values=(complex(values[idx[0]]), complex(values[idx[1]])),
+            zone_offsets=(int(zones[idx[0]]), int(zones[idx[1]])),
+            omega_b=w,
+            det_residual=float(residual),
+        ))
+    return sets[0] if d0_abs is None else sets
 
 
 # ---------------------------------------------------------------------------

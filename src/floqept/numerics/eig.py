@@ -17,22 +17,25 @@ MAX_DIM = 64
 _TIE_REL = 1e-8
 
 
-def order_eigenvalues(values) -> np.ndarray:
+def order_eigenvalues(values, tie_tol: float | None = None) -> np.ndarray:
     """Indices sorting eigenvalues by the global branch convention.
 
-    Descending real part; real parts closer than ``1e-8`` relative to the
-    spectrum scale count as ties and are broken by descending imaginary part.
+    Descending real part; real parts closer than ``tie_tol`` count as ties
+    and are broken by descending imaginary part.  ``tie_tol`` defaults to
+    ``1e-8`` relative to the spectrum scale; callers whose values carry a
+    larger error pass that error.
     """
     values = np.asarray(values, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
-    tol = _TIE_REL * scale
+    if tie_tol is None:
+        scale = max(1.0, float(np.max(np.abs(values))) if values.size else 1.0)
+        tie_tol = _TIE_REL * scale
     # quantize real parts onto a tie-tolerant ladder, then lexsort
     re = values.real.copy()
     order = np.argsort(-re, kind="stable")
     groups = np.zeros(values.size, dtype=int)
     gid = 0
     for pos in range(1, values.size):
-        if re[order[pos - 1]] - re[order[pos]] > tol:
+        if re[order[pos - 1]] - re[order[pos]] > tie_tol:
             gid += 1
         groups[order[pos]] = gid
     idx = np.lexsort((-values.imag, groups))

@@ -5,6 +5,12 @@ solution, with a PI step-size controller.  The state may be a complex vector
 or a complex matrix (fundamental-matrix integration); ``H(t)`` must return a
 square complex array matching the leading dimension.
 
+A stack of G independent systems integrates as one run with a shared step
+sequence: ``H(t)`` returns ``(G, d, d)`` and the state carries the same
+leading axis, ``(G, d)`` or ``(G, d, k)``.  A step is accepted when the
+largest per-member error norm is within tolerance, so each member is
+integrated at least as finely as its own run would be.
+
 No 2*pi appears here: the generator is used verbatim, so a constant scalar
 ``H = [[lam]]`` over a unit span propagates ``s0 * exp(-1j*lam)``.  Callers
 working in Hz pass generators already scaled by 2*pi.
@@ -62,7 +68,12 @@ class Trajectory:
 
 
 def _rhs(h_of_t, t, y):
-    return -1j * (np.asarray(h_of_t(t), dtype=complex) @ y)
+    return -1j * np.einsum("...ij,...jk->...ik", np.asarray(h_of_t(t), dtype=complex), y)
+
+
+def _norms(v, scale) -> np.ndarray:
+    """Weighted RMS norm of each member of a ``(G, d, k)`` stack."""
+    return np.sqrt(np.mean((np.abs(v) / scale).reshape(v.shape[0], -1) ** 2, axis=1))
 
 
 def integrate_linear(
@@ -79,11 +90,14 @@ def integrate_linear(
     Parameters
     ----------
     h_of_t : callable
-        ``t -> (d, d)`` complex array, continuous on the span.
+        ``t -> (d, d)`` complex array, continuous on the span; or
+        ``t -> (G, d, d)`` for a stack of G systems.
     s0 : array_like
-        Initial state, shape ``(d,)`` or ``(d, k)``.
+        Initial state, shape ``(d,)`` or ``(d, k)``; with a stacked ``H``,
+        ``(G, d)`` or ``(G, d, k)``.
     rel_tol, abs_tol : float
-        Local error tolerances per step (elementwise weighted RMS norm).
+        Local error tolerances per step (elementwise weighted RMS norm,
+        per member of a stack; the largest member norm decides).
     t_eval : array_like, optional
         Strictly increasing sample times within ``t_span``; each is hit
         exactly by clamping the step.  The endpoints need not be included;
@@ -105,11 +119,14 @@ def integrate_linear(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must satisfy t0 < t1")
-    y = np.asarray(s0, dtype=complex).copy()
-    d = y.shape[0]
+    y = np.asarray(s0, dtype=complex)
     h0 = np.asarray(h_of_t(t0), dtype=complex)
-    if h0.shape != (d, d):
-        raise ValueError(f"H(t) shape {h0.shape} does not match state dimension {d}")
+    lead = y.shape[:h0.ndim - 1]  # (d,), or (G, d) for a stack
+    if h0.ndim not in (2, 3) or h0.shape != lead + lead[-1:]:
+        raise ValueError(f"H(t) shape {h0.shape} does not match state shape {y.shape}")
+    state_shape = y.shape
+    # work on a (G, d, k) stack; an unstacked system is a stack of one
+    y = y.reshape(lead[0] if h0.ndim == 3 else 1, lead[-1], -1).copy()
 
     eval_times = None
     if t_eval is not None:
@@ -125,9 +142,10 @@ def integrate_linear(
     # initial step from the first derivative scale
     f0 = _rhs(h_of_t, t0, y)
     scale0 = abs_tol + rel_tol * np.abs(y)
-    d0 = np.sqrt(np.mean((np.abs(y) / scale0) ** 2))
-    d1 = np.sqrt(np.mean((np.abs(f0) / scale0) ** 2))
-    h = 0.01 * d0 / d1 if d0 > 1e-12 and d1 > 1e-12 else span * 1e-6
+    h = min(
+        0.01 * d0 / d1 if d0 > 1e-12 and d1 > 1e-12 else span * 1e-6
+        for d0, d1 in zip(_norms(y, scale0), _norms(f0, scale0))
+    )
     h = min(h, span, max_step)
 
     t = t0
@@ -143,7 +161,7 @@ def integrate_linear(
         eval_times[0] - t0 <= 1e-12 * max(1.0, abs(t0))
     ):
         sample_ts.append(t0)
-        sample_ys.append(y.copy())
+        sample_ys.append(y.reshape(state_shape))
         next_eval = 1
 
     while t < t1:
@@ -161,12 +179,12 @@ def integrate_linear(
             )
 
         for i in range(1, 7):
-            yi = y + h * np.tensordot(_A[i], k[:i], axes=(0, 0))
+            yi = y + h * np.einsum("s,s...->...", _A[i], k[:i])
             k[i] = _rhs(h_of_t, t + _C[i] * h, yi)
-        y_new = y + h * np.tensordot(_B5, k, axes=(0, 0))
-        err_vec = h * np.tensordot(_ERR, k, axes=(0, 0))
+        y_new = y + h * np.einsum("s,s...->...", _B5, k)
+        err_vec = h * np.einsum("s,s...->...", _ERR, k)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((np.abs(err_vec) / scale) ** 2))
+        err = float(np.max(_norms(err_vec, scale)))
 
         if err <= 1.0:
             t = t + h
@@ -178,7 +196,7 @@ def integrate_linear(
                     1.0, abs(t)
                 ):
                     sample_ts.append(t)
-                    sample_ys.append(y.copy())
+                    sample_ys.append(y.reshape(state_shape))
                     next_eval += 1
             err = max(err, 1e-10)
             factor = _SAFETY * err ** (-_BETA1) * err_prev ** (_BETA2)
@@ -188,6 +206,7 @@ def integrate_linear(
             n_rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
 
+    y = y.reshape(state_shape)
     ts = np.asarray(sample_ts if sample_ts else [t], dtype=float)
     ys = np.asarray(sample_ys if sample_ys else [y])
     return Trajectory(ts=ts, ys=ys, final_t=t, final_y=y, n_steps=n_steps, n_rejected=n_rejected)

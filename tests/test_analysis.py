@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from floqept import analysis
 from floqept import (
     BracketError,
     GridSpec,
@@ -11,9 +14,11 @@ from floqept import (
     fit_sideband_heights,
     harvest_sideband_heights,
     locate_ep,
+    monodromy_quasienergies,
     phase_diagram,
     solve_modulation_depth,
 )
+from floqept.engine import is_split
 from floqept.numerics.bessel import bessel_j
 
 
@@ -26,6 +31,24 @@ def floquet_template():
 @pytest.fixture
 def ep_cfg():
     return SimConfig(truncation_m=5, grid=GridSpec(-4000.0, 1000.0, 2.0))
+
+
+def _pointwise_monodromy_bisection(params, cfg, lo, hi, tol=0.5):
+    """Reference bisection with one monodromy integration per point."""
+    def split(d0_abs):
+        return is_split(monodromy_quasienergies(params.at_detuning(d0_abs), cfg))
+
+    split_lo = split(lo)
+    assert split_lo != split(hi)
+    iterations = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if split(mid) == split_lo:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return 0.5 * (lo + hi), (lo, hi), iterations
 
 
 class TestLocateEp:
@@ -82,14 +105,41 @@ class TestLocateEp:
 
     def test_closed_form_lower_crossing(self, floquet_template, ep_cfg):
         r = locate_ep(floquet_template, 1, "closed-form", ep_cfg, bracket=(2900.0, 3000.0))
-        assert r.delta0_star == floquet_template.omega_b - 2 * coupling_rate(floquet_template)
+        rate = coupling_rate(floquet_template)
+        assert r.delta0_star == floquet_template.omega_b - 2 * rate
         assert r.iterations == 0
+        # the rate is |mu*|/2 at the lower crossing too
+        assert r.gamma_eff == pytest.approx(rate, rel=1e-12)
+        assert r.mismatch_star == pytest.approx(2.0 * rate, rel=1e-12)
 
     @pytest.mark.parametrize("rate", [30.0, -30.0])
     def test_closed_form_prescribed_rate_sign_ignored(self, floquet_template, ep_cfg, rate):
         r = locate_ep(floquet_template, 1, "closed-form", ep_cfg, gamma_eff=rate)
         assert r.delta0_star == floquet_template.omega_b + 60.0
         assert r.gamma_eff == 30.0
+
+    @pytest.mark.parametrize("bracket", [None, (2999.3, 3517.1), (2900.0, 3000.0)])
+    def test_monodromy_matches_pointwise_bisection(self, floquet_template, ep_cfg, bracket,
+                                                   monkeypatch):
+        integrations = []
+
+        def counted(*args):
+            integrations.append(args)
+            return monodromy_quasienergies(*args)
+
+        monkeypatch.setattr(analysis, "monodromy_quasienergies", counted)
+        r = locate_ep(floquet_template, 1, "monodromy", ep_cfg, bracket=bracket)
+        lo, hi = bracket or (3000.0, 3930.0)
+        star, final, iterations = _pointwise_monodromy_bisection(floquet_template, ep_cfg, lo, hi)
+        assert (r.delta0_star, r.bracket, r.iterations) == (star, final, iterations)
+        # both ends in one integration, then one per four bisection levels
+        assert len(integrations) == 1 + math.ceil(iterations / 4)
+        assert r.gamma_eff == 0.5 * abs(star - floquet_template.omega_b)
+
+    @pytest.mark.parametrize("route", ["monodromy", "spectral-pipeline"])
+    def test_prescribed_rate_rejected_off_closed_form(self, floquet_template, ep_cfg, route):
+        with pytest.raises(ValueError, match="closed-form route only"):
+            locate_ep(floquet_template, 1, route, ep_cfg, gamma_eff=30.0)
 
     def test_bracket_contains_threshold(self, floquet_template, ep_cfg):
         r = locate_ep(floquet_template, 1, "closed-form", ep_cfg)

@@ -97,6 +97,38 @@ def test_eigen_monodromy_matches_rwa_gap(tmp_path):
         assert gap_a == pytest.approx(gap_b, abs=0.5)
 
 
+EP_POINT = ["--delta0", "-3050", "--gamma-c", "93", "--gamma12", "20", "--delta-b", "4300",
+            "--omega-b", "3000", "--n1", "1", "--truncation-m", "5"]
+
+
+def test_eigen_monodromy_unbroken_rows_list_slower_decay_first(tmp_path):
+    # in the anti-PT phase the real parts tie; integration noise must not order them
+    r = run_cli("eigen", "--out", str(tmp_path), "--sweep-delta0", "2900:3200:1",
+                "--route", "monodromy", *EP_POINT)
+    assert r.returncode == 0, r.stderr
+    _, rows = read_csv(tmp_path / "eigen.csv")
+    unbroken = [row for row in rows if row[6] == "unbroken"]
+    assert len(unbroken) == 111
+    assert [row[0] for row in unbroken if not float(row[3]) > float(row[5])] == []
+
+
+def test_ep_gamma_eff_off_closed_form_exit_2(tmp_path):
+    r = run_cli("ep", "--out", str(tmp_path), "--route", "monodromy", "--n", "1", *EP_POINT,
+                "--gamma-eff", "30")
+    assert r.returncode == 2
+    assert "--gamma-eff" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "ep.csv").exists()
+
+
+def test_ep_lower_crossing_reports_positive_rate(tmp_path):
+    r = run_cli("ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1", *EP_POINT,
+                "--bracket", "2900:3000")
+    assert r.returncode == 0, r.stderr
+    header, rows = read_csv(tmp_path / "ep.csv")
+    row = dict(zip(header, rows[0]))
+    assert (row["mu_star_hz"], row["gamma_eff_hz"]) == ("55.8985714972", "27.9492857486")
+
+
 def test_spectrum_sidebands_and_determinism(tmp_path):
     args = [
         "spectrum", "--probe", "ch1", "--delta0", "0", "--gamma-c", "5",

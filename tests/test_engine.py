@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from floqept import (
+    EngineError,
     ModelParams,
     SimConfig,
     effective_coupling,
@@ -13,7 +14,14 @@ from floqept import (
     quasienergy_gap,
     static_eigenvalues,
 )
-from floqept.engine import TWO_PI, LabFrameModel, branch_root, classify_phase, static_hamiltonian
+from floqept.engine import (
+    TWO_PI,
+    LabFrameModel,
+    branch_root,
+    classify_phase,
+    is_split,
+    static_hamiltonian,
+)
 from floqept.numerics.bessel import bessel_j
 from floqept.numerics.eig import eig_small, order_eigenvalues
 from floqept.numerics.integrate import integrate_linear
@@ -356,3 +364,65 @@ class TestMonodromy:
             )
             q = monodromy_quasienergies(p, base_cfg)
             assert all(v.imag <= 1e-9 for v in q.values)
+
+
+class TestMonodromyBatch:
+    """A sweep integrated as one stack against one integration per point."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_matches_pointwise(self, n, sign):
+        geff = effective_coupling(93.0, 4300.0, 3000.0, n, 0)
+        p = ModelParams(delta0=sign * n * 3000.0, gamma_c=93.0, gamma12=20.0, delta_b=4300.0,
+                        omega_b=3000.0, n1=n, n2=0)
+        # mismatch / (2*Gamma_eff) from the unbroken centre out past the EP
+        sweep = n * 3000.0 + 2.0 * geff * np.array([0.0, 0.5, 0.9, 1.1, 1.5, 4.0])
+        cfg = SimConfig()
+        batch = monodromy_quasienergies(p, cfg, sweep)
+        assert len(batch) == sweep.size
+        split = []
+        for d, q in zip(sweep, batch):
+            point = monodromy_quasienergies(p.at_detuning(d), cfg)
+            assert max(abs(a - b) for a, b in zip(q.values, point.values)) <= 1e-6
+            assert q.zone_offsets == point.zone_offsets
+            assert is_split(q) == is_split(point)
+            assert q.det_residual <= 1e-8
+            split.append(is_split(q))
+        assert split == [False, False, False, True, True, True]
+
+    def test_members_needing_different_steps(self):
+        # the fast member sets the shared step, so the slow ones gain accuracy
+        p = ModelParams(delta0=-3050.0, gamma_c=93.0, gamma12=20.0, delta_b=4300.0,
+                        omega_b=3000.0, n1=1, n2=0)
+        sweep = [50.0, 3050.0, 40000.0]
+        cfg = SimConfig(rel_tol=1e-7, abs_tol=1e-10)
+        oracle = SimConfig(rel_tol=1e-11, abs_tol=1e-14)
+
+        def own_steps(d):
+            model = LabFrameModel(p.at_detuning(d))
+            return integrate_linear(model.fast_generator(), np.eye(2, dtype=complex),
+                                    (0.0, model.period), rel_tol=cfg.rel_tol,
+                                    abs_tol=cfg.abs_tol).n_steps
+
+        steps = [own_steps(d) for d in sweep]
+        assert steps[2] > 4 * steps[0]
+        for d, q in zip(sweep, monodromy_quasienergies(p, cfg, sweep)):
+            exact = monodromy_quasienergies(p.at_detuning(d), oracle)
+            own = monodromy_quasienergies(p.at_detuning(d), cfg)
+            error = lambda s: max(abs(a - b) for a, b in zip(s.values, exact.values))
+            assert error(q) <= error(own)
+
+    def test_underflow_raises_in_a_batch(self):
+        p = ModelParams(delta0=0.0, gamma_c=0.0, gamma12=200.0, delta_b=0.0, omega_b=1.0)
+        with pytest.raises(EngineError, match="underflow at \\|delta0\\| = 0 Hz"):
+            monodromy_quasienergies(p, SimConfig(rel_tol=1e-8, abs_tol=1e-310), [0.0, 0.25])
+
+    def test_signed_zero_member_keeps_its_band_offset(self):
+        # at |delta0| = 0 the red side is -0.0, where n_signed flips to +n
+        p = ModelParams(delta0=-3050.0, gamma_c=93.0, gamma12=20.0, delta_b=4300.0,
+                        omega_b=3000.0, n1=1, n2=0)
+        cfg = SimConfig()
+        q0, q1 = monodromy_quasienergies(p, cfg, [0.0, 3050.0])
+        for q, d in ((q0, 0.0), (q1, 3050.0)):
+            point = monodromy_quasienergies(p.at_detuning(d), cfg)
+            assert max(abs(a - b) for a, b in zip(q.values, point.values)) <= 1e-6

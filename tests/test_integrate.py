@@ -104,3 +104,30 @@ def test_stiffness_error_raised():
 def test_bad_tolerances_rejected():
     with pytest.raises(ValueError):
         integrate_linear(lambda t: np.eye(1, dtype=complex), np.array([1.0 + 0j]), (0.0, 1.0), rel_tol=0.0)
+
+
+def test_batch_of_one_equals_unbatched():
+    h = lambda t: np.array([[2.0, 0.3j], [-0.3j, -1.0]], dtype=complex) * (1 + 0.1 * math.cos(3 * t))
+    s0 = np.array([[1.0, 0.2j], [0.5, -1.0]], dtype=complex)
+    samples = [1.0, 2.5]
+    single = integrate_linear(h, s0, (0.0, 5.0), t_eval=samples)
+    batch = integrate_linear(lambda t: h(t)[None], s0[None], (0.0, 5.0), t_eval=samples)
+    assert batch.final_y.shape == (1, 2, 2) and batch.ys.shape == (2, 1, 2, 2)
+    assert np.array_equal(batch.final_y[0], single.final_y)
+    assert np.array_equal(batch.ys[:, 0], single.ys)
+    assert (batch.n_steps, batch.n_rejected) == (single.n_steps, single.n_rejected)
+
+
+def test_batch_members_follow_their_own_generators():
+    # one shared step sequence serves members with rates 80x apart
+    lams = np.array([0.5, 3.0, 40.0])
+    h = lambda t: lams[:, None, None] * np.eye(2, dtype=complex)
+    s0 = np.array([[1.0, 0.5j]] * 3)
+    traj = integrate_linear(h, s0, (0.0, 2.0), rel_tol=1e-10, abs_tol=1e-13)
+    assert traj.final_y.shape == (3, 2)
+    assert np.allclose(traj.final_y, np.exp(-2j * lams)[:, None] * s0, rtol=0.0, atol=1e-8)
+    alone = integrate_linear(lambda t: np.eye(2, dtype=complex) * lams[0], s0[0], (0.0, 2.0),
+                             rel_tol=1e-10, abs_tol=1e-13)
+    assert traj.n_steps > alone.n_steps  # the fastest member sets the step
+    with pytest.raises(ValueError, match="does not match"):
+        integrate_linear(h, s0[:2], (0.0, 2.0))
