@@ -76,18 +76,23 @@ class GammaCurve:
     gamma_c_fit: float
     delta_b_fit: float
     residual_norm: float
-    fit: FitResult | None
     ok: bool
     message: str = ""
+
+    def fitted(self) -> np.ndarray:
+        """The fitted curve at each drive frequency of :attr:`omega_b`."""
+        return _rate_curve(self.gamma_c_fit, self.delta_b_fit, self.omega_b)
 
     def residuals(self) -> np.ndarray:
         """Per-point misfit of the extracted rates against the fitted curve."""
         if not np.isfinite(self.gamma_c_fit):
             return self.gamma_eff.copy()
-        model = np.array(
-            [effective_coupling(self.gamma_c_fit, self.delta_b_fit, w, 1, 0) for w in self.omega_b]
-        )
-        return self.gamma_eff - model
+        return self.gamma_eff - self.fitted()
+
+
+def _rate_curve(gamma_c: float, delta_b: float, omegas) -> np.ndarray:
+    """The fitted family ``gamma_c * |J0(delta_b/w) J1(delta_b/w)|`` at each ``w``."""
+    return np.array([effective_coupling(gamma_c, delta_b, w, 1, 0) for w in omegas])
 
 
 def _closed_form_rate(params: ModelParams, gamma_eff_override: float | None) -> float:
@@ -146,8 +151,10 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
     Raises
     ------
     ValueError
-        If ``bracket`` is not finite or not ordered ``lo < hi``, or if
-        ``gamma_eff`` is given for a route other than closed-form.
+        If the band order is negative (the default bracket would lie at
+        negative ``|delta0|``), if ``bracket`` is not finite or not ordered
+        ``lo < hi``, or if ``gamma_eff`` is given for a route other than
+        closed-form.
     BracketError
         If the indicator does not change sign across the bracket.
     """
@@ -156,6 +163,8 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
     if n is not None and n != params.n:
         params = params.but(n1=n, n2=0)
     n = params.n
+    if n < 0:
+        raise ValueError(f"band order n must be >= 0, got {n}")
     if bracket is None:
         lo = n * params.omega_b
         hi = n * params.omega_b + 10.0 * max(params.gamma_c, 1.0)
@@ -216,12 +225,11 @@ def gamma_curve(params: ModelParams, omega_b_grid, cfg: SimConfig,
         rates[i] = locate_ep(p, p.n, route, c).gamma_eff
 
     if rates.max() < 1.0:
-        return GammaCurve(omegas, rates, math.nan, math.nan, math.nan, None,
+        return GammaCurve(omegas, rates, math.nan, math.nan, math.nan,
                           ok=False, message="all extracted rates consistent with zero; nothing to fit")
 
     def model(p, w):
-        gc, db = p
-        return np.array([effective_coupling(abs(gc), db, wi, 1, 0) for wi in w])
+        return _rate_curve(abs(p[0]), p[1], w)
 
     i_max = int(np.argmax(rates))
     p0 = np.array([rates[i_max] / 0.3386, 1.0819 * omegas[i_max]])
@@ -233,7 +241,6 @@ def gamma_curve(params: ModelParams, omega_b_grid, cfg: SimConfig,
         gamma_c_fit=float(gc_fit),
         delta_b_fit=float(db_fit),
         residual_norm=fit.residual_norm,
-        fit=fit,
         ok=fit.converged,
         message=fit.message,
     )
@@ -241,7 +248,7 @@ def gamma_curve(params: ModelParams, omega_b_grid, cfg: SimConfig,
 
 def harvest_sideband_heights(params: ModelParams, omega_b_grid, cfg: SimConfig,
                              orders=(0, 1, 2), window: float = 250.0):
-    """Peak heights of the probed channel's sidebands across drive frequencies.
+    """Peak heights of the probed channel's sideband orders across drive frequencies.
 
     For each ``omega_b`` the single-probe spectrum is synthesized in narrow
     windows around ``delta0 + m*omega_b`` and the detected peak height

@@ -38,7 +38,6 @@ from .analysis import (
 from .engine import (
     EngineError,
     coupling_rate,
-    effective_coupling,
     floquet_eigenvalues,
     is_split,
     monodromy_quasienergies,
@@ -88,8 +87,7 @@ def _sweep(text: str) -> np.ndarray:
     a, b, s = _numbers(text, "START:STOP:STEP")
     if not (s > 0 and a <= b and math.isfinite((b - a) / s)):
         raise argparse.ArgumentTypeError(f"bad sweep {text!r}: need start <= stop and step > 0")
-    count = int(np.floor((b - a) / s + 0.5)) + 1
-    return a + s * np.arange(count)
+    return GridSpec(a, b, s).points()
 
 
 def _grid(text: str) -> GridSpec:
@@ -111,6 +109,13 @@ def _nonnegative(text: str) -> float:
     if not value >= 0:
         raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
     return value
+
+
+def _order(text: str) -> int:
+    """A band or Bessel order: an integer >= 0."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _bracket(text: str) -> tuple[float, float]:
@@ -240,7 +245,10 @@ def _ep(args, params, cfg):
     if args.gamma_eff is not None and args.route != "closed-form":
         raise SystemExit(_fail(EXIT_VALIDATION,
                                f"--gamma-eff applies to --route closed-form only, not {args.route}"))
-    result = locate_ep(params, args.n, args.route, cfg, bracket=args.bracket,
+    n = params.n if args.n is None else args.n
+    if n < 0:
+        raise SystemExit(_fail(EXIT_VALIDATION, f"ep needs band order n = n1 - n2 >= 0, got {n}"))
+    result = locate_ep(params, n, args.route, cfg, bracket=args.bracket,
                        gamma_eff=args.gamma_eff)
     header = ["route", "delta0_star_abs", "mu_star_hz", "gamma_eff_hz", "iterations"]
     row = (result.route, result.delta0_star, result.mismatch_star, result.gamma_eff,
@@ -250,11 +258,8 @@ def _ep(args, params, cfg):
 
 def _gamma_curve(args, params, cfg):
     curve = gamma_curve(params, args.sweep_omega_b, cfg)
-    rows = [
-        (w, g, effective_coupling(curve.gamma_c_fit, curve.delta_b_fit, w, 0, 1)
-         if curve.ok else float("nan"))
-        for w, g in zip(curve.omega_b, curve.gamma_eff)
-    ]
+    fitted = curve.fitted() if curve.ok else np.full(curve.omega_b.size, math.nan)
+    rows = zip(curve.omega_b, curve.gamma_eff, fitted)
     summary = {
         "gamma_c_fit_hz": curve.gamma_c_fit,
         "delta_b_fit_hz": curve.delta_b_fit,
@@ -325,7 +330,7 @@ _COMMANDS = {
     "beat": ("beat note of the coupled dynamics", _beat, {}),
     "ep": ("locate the exceptional point", _ep, {
         "--route": {"choices": ROUTES, "default": "closed-form"},
-        "--n": {"type": int, "help": "band order (default: n1-n2)"},
+        "--n": {"type": _order, "help": "band order >= 0 (default: n1-n2)"},
         "--gamma-eff": {"type": _nonnegative, "help": "prescribed coupling rate, Hz (closed-form route)"},
         "--bracket": {"type": _bracket, "metavar": "LO:HI", "help": "|delta0| bracket, Hz"},
     }),
@@ -334,7 +339,7 @@ _COMMANDS = {
     }),
     "fit": ("fit sideband heights to Bessel weights", _fit, {
         "--model": {"choices": ("bessel-heights",), "default": "bessel-heights"},
-        "--m": {"type": int, "required": True},
+        "--m": {"type": _order, "required": True, "help": "Bessel order >= 0"},
         "--input": {"required": True, "help": "CSV with omega_b and height columns"},
     }),
     "phase-diagram": ("symmetry phase over (|delta0|, omega_b)", _phase_diagram, {

@@ -389,11 +389,7 @@ class SidebandSolution:
 
     amps: np.ndarray  # (2, 2M+1)
     m_indices: np.ndarray
-    delta: float
-    probe_channel: int
-    amplitude: complex
     residual: float
-    omega_b: float
 
     def channel_power(self, channel: int) -> float:
         """Time-averaged steady-state power sum_m |s_(j,m)|^2 of a channel."""
@@ -431,7 +427,7 @@ def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> Sideban
     ``delta + m*omega_b - d_j + i*gamma12`` (``d1 = delta0``, ``d2 = 0``,
     plus the common Stark offset); the Zeeman drive couples ``m <-> m+-1``
     within each channel with strength ``delta_b/2``; the dissipative
-    coupling ``i*Gamma_eff`` connects the channels between sidebands offset
+    coupling ``i*Gamma_eff`` connects the channels between sideband orders offset
     by the declared band difference.
 
     Raises
@@ -461,11 +457,7 @@ def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> Sideban
     return SidebandSolution(
         amps=s.reshape(2, width),
         m_indices=np.arange(-mtrunc, mtrunc + 1),
-        delta=float(delta),
-        probe_channel=channel,
-        amplitude=complex(amplitude),
         residual=residual,
-        omega_b=params.omega_b,
     )
 
 
@@ -553,12 +545,11 @@ def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
                       deltas, amplitude: complex = 1.0):
     """Vectorized steady-state powers over a probe-detuning grid.
 
-    Returns ``(powers, sidebands)`` with ``powers[j, g]`` the channel-(j+1)
-    power at grid point g and ``sidebands[j, m + M, g]`` the per-sideband
-    powers.  ``probe_channel`` may also be a sequence of channels, solved
-    together as one right-hand-side column each; the results then carry a
-    leading axis over those channels, ``powers[i, j, g]`` and
-    ``sidebands[i, j, m + M, g]`` for the i-th probed channel.
+    Returns ``powers`` of shape ``(2, G)``, ``powers[j, g]`` the
+    channel-(j+1) power ``sum_m |s_(j,m)|^2`` at grid point g.
+    ``probe_channel`` may also be a sequence of C channels, solved together
+    as one right-hand-side column each; ``powers`` then has shape
+    ``(C, 2, G)``, ``powers[i, j, g]`` for the i-th probed channel.
 
     Equivalent to calling :func:`steady_state_response` per point.  The
     delta-independent base matrix is reduced once, ``A0 = Q H Q^*`` with
@@ -581,8 +572,5 @@ def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
     rhs[(channels - 1) * width + mtrunc, np.arange(channels.size)] = amplitude
     y = _shifted_hessenberg_solve(h, deltas, q.conj().T @ rhs)
     amps = (q @ y.reshape(2 * width, -1)).reshape(2, width, channels.size, deltas.size)
-    sidebands = np.moveaxis(np.abs(amps) ** 2, 2, 0)
-    powers = sidebands.sum(axis=2)
-    if np.ndim(probe_channel) == 0:
-        return powers[0], sidebands[0]
-    return powers, sidebands
+    powers = np.moveaxis((np.abs(amps) ** 2).sum(axis=1), 1, 0)
+    return powers[0] if np.ndim(probe_channel) == 0 else powers

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from pathlib import Path
 
@@ -49,7 +50,11 @@ def write_json(path, payload: dict) -> None:
 
 
 def read_xy_csv(path, xcol: str, ycol: str):
-    """Read two named columns from a headered CSV into float lists."""
+    """Read two named columns from a headered CSV into float lists.
+
+    Raises ``ValueError`` naming the line of a row that lacks either column
+    or holds a cell that is not a finite number.
+    """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -59,12 +64,18 @@ def read_xy_csv(path, xcol: str, ycol: str):
     except ValueError as exc:
         raise ValueError(f"{path}: need columns {xcol!r} and {ycol!r}, have {header}") from exc
     xs, ys = [], []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
         cells = line.split(",")
-        xs.append(float(cells[xi]))
-        ys.append(float(cells[yi]))
+        try:
+            x, y = float(cells[xi]), float(cells[yi])
+        except (IndexError, ValueError):
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{path}:{lineno}: need finite {xcol!r} and {ycol!r}, got {line!r}")
+        xs.append(x)
+        ys.append(y)
     return xs, ys
 
 

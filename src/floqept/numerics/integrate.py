@@ -57,11 +57,8 @@ _MAX_STEPS = 20_000_000
 
 @dataclass
 class Trajectory:
-    """Sampled states plus the dense final state of one integration."""
+    """The state at the end of the span, with the step counts of the run."""
 
-    ts: np.ndarray
-    ys: np.ndarray  # shape (len(ts),) + state shape
-    final_t: float
     final_y: np.ndarray
     n_steps: int
     n_rejected: int
@@ -82,8 +79,6 @@ def integrate_linear(
     t_span,
     rel_tol: float = 1e-9,
     abs_tol: float = 1e-12,
-    t_eval=None,
-    max_step: float = np.inf,
 ) -> Trajectory:
     """Integrate ``ds/dt = -i H(t) s`` over ``t_span = (t0, t1)``.
 
@@ -98,12 +93,6 @@ def integrate_linear(
     rel_tol, abs_tol : float
         Local error tolerances per step (elementwise weighted RMS norm,
         per member of a stack; the largest member norm decides).
-    t_eval : array_like, optional
-        Strictly increasing sample times within ``t_span``; each is hit
-        exactly by clamping the step.  The endpoints need not be included;
-        a sample at ``t0`` records ``s0``.
-    max_step : float
-        Upper bound on the step size.
 
     Returns
     -------
@@ -128,14 +117,6 @@ def integrate_linear(
     # work on a (G, d, k) stack; an unstacked system is a stack of one
     y = y.reshape(lead[0] if h0.ndim == 3 else 1, lead[-1], -1).copy()
 
-    eval_times = None
-    if t_eval is not None:
-        eval_times = np.asarray(t_eval, dtype=float)
-        if eval_times.size and (
-            eval_times[0] < t0 or eval_times[-1] > t1 or np.any(np.diff(eval_times) <= 0)
-        ):
-            raise ValueError("t_eval must be strictly increasing within t_span")
-
     span = t1 - t0
     h_min = max(span * 1e-14, 1e-300)
 
@@ -146,7 +127,7 @@ def integrate_linear(
         0.01 * d0 / d1 if d0 > 1e-12 and d1 > 1e-12 else span * 1e-6
         for d0, d1 in zip(_norms(y, scale0), _norms(f0, scale0))
     )
-    h = min(h, span, max_step)
+    h = min(h, span)
 
     t = t0
     k = np.empty((7,) + y.shape, dtype=complex)
@@ -154,24 +135,11 @@ def integrate_linear(
     err_prev = 1.0
     n_steps = 0
     n_rejected = 0
-    sample_ts: list[float] = []
-    sample_ys: list[np.ndarray] = []
-    next_eval = 0
-    if eval_times is not None and eval_times.size and (
-        eval_times[0] - t0 <= 1e-12 * max(1.0, abs(t0))
-    ):
-        sample_ts.append(t0)
-        sample_ys.append(y.reshape(state_shape))
-        next_eval = 1
 
     while t < t1:
         if n_steps > _MAX_STEPS:
             raise StiffnessError(f"step budget exhausted at t = {t:.6g} (h = {h:.3g})")
-        h = min(h, max_step, t1 - t)
-        if eval_times is not None and next_eval < eval_times.size:
-            target = eval_times[next_eval]
-            if target > t:
-                h = min(h, target - t)
+        h = min(h, t1 - t)
         if h < h_min:
             raise StiffnessError(
                 f"step size underflow at t = {t:.6g} (h = {h:.3g} < {h_min:.3g}); "
@@ -191,13 +159,6 @@ def integrate_linear(
             y = y_new
             k[0] = k[6]  # FSAL
             n_steps += 1
-            if eval_times is not None:
-                while next_eval < eval_times.size and abs(t - eval_times[next_eval]) <= 1e-12 * max(
-                    1.0, abs(t)
-                ):
-                    sample_ts.append(t)
-                    sample_ys.append(y.reshape(state_shape))
-                    next_eval += 1
             err = max(err, 1e-10)
             factor = _SAFETY * err ** (-_BETA1) * err_prev ** (_BETA2)
             err_prev = err
@@ -206,7 +167,4 @@ def integrate_linear(
             n_rejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
 
-    y = y.reshape(state_shape)
-    ts = np.asarray(sample_ts if sample_ts else [t], dtype=float)
-    ys = np.asarray(sample_ys if sample_ys else [y])
-    return Trajectory(ts=ts, ys=ys, final_t=t, final_y=y, n_steps=n_steps, n_rejected=n_rejected)
+    return Trajectory(final_y=y.reshape(state_shape), n_steps=n_steps, n_rejected=n_rejected)

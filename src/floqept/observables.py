@@ -2,8 +2,8 @@
 separation curves and beat-note measurement.
 
 The transmission observable is the time-averaged steady-state spin-wave
-power per channel, ``P_j(delta) = sum_m |s_(j,m)|^2``, with the
-per-sideband heights ``|s_(j,m)|^2`` available for sideband-resolved fits.
+power per channel, ``P_j(delta) = sum_m |s_(j,m)|^2``; sideband heights
+are the peak heights of these curves.
 """
 
 from __future__ import annotations
@@ -43,17 +43,12 @@ class SpectrumTrace:
     ``powers[j]`` (j in {1, 2}) is the power read in channel j.  When a
     channel is probed its curve is its own response; an unprobed channel is
     read under the other channel's probe (cross-channel transfer, the
-    single-probe configuration).  ``sidebands[j]`` has shape
-    ``(2M+1, len(grid))`` with the per-sideband decomposition.
+    single-probe configuration).
     """
 
     grid: np.ndarray
     powers: dict[int, np.ndarray]
-    sidebands: dict[int, np.ndarray]
-    m_indices: np.ndarray
-    probed_channels: tuple
     params: ModelParams = None
-    cfg: SimConfig = None
 
 
 @dataclass(frozen=True)
@@ -118,29 +113,15 @@ def synthesize_spectrum(params: ModelParams, cfg: SimConfig,
     """
     grid_pts = cfg.grid.points() if grid is None else np.asarray(grid, dtype=float)
     probed = tuple(sorted(set(probed_channels)))
-    powers: dict[int, np.ndarray] = {}
-    sidebands: dict[int, np.ndarray] = {}
     if probed == (1, 2):
-        p, sb = steady_state_grid(params, cfg, probed, grid_pts, amplitude)
-        for ch in (1, 2):
-            powers[ch] = p[ch - 1, ch - 1]
-            sidebands[ch] = sb[ch - 1, ch - 1]
+        p = steady_state_grid(params, cfg, probed, grid_pts, amplitude)
+        powers = {ch: p[ch - 1, ch - 1] for ch in (1, 2)}
     elif len(probed) == 1:
-        p, sb = steady_state_grid(params, cfg, probed[0], grid_pts, amplitude)
-        for read in (1, 2):
-            powers[read] = p[read - 1]
-            sidebands[read] = sb[read - 1]
+        p = steady_state_grid(params, cfg, probed[0], grid_pts, amplitude)
+        powers = {read: p[read - 1] for read in (1, 2)}
     else:
         raise ValueError(f"probed_channels must be (1,), (2,) or (1, 2); got {probed_channels}")
-    return SpectrumTrace(
-        grid=grid_pts,
-        powers=powers,
-        sidebands=sidebands,
-        m_indices=np.arange(-cfg.truncation_m, cfg.truncation_m + 1),
-        probed_channels=probed,
-        params=params,
-        cfg=cfg,
-    )
+    return SpectrumTrace(grid=grid_pts, powers=powers, params=params)
 
 
 def _prominences(y: np.ndarray, maxima: np.ndarray) -> np.ndarray:
@@ -281,7 +262,6 @@ def _separation_point(params: ModelParams, cfg: SimConfig,
     trace = synthesize_spectrum(params, cfg, probed_channels=(1, 2), grid=grid)
 
     centers = []
-    fwhms = []
     for ch, cc in ((1, c1), (2, c2)):
         mask = np.abs(grid - cc) <= half_window
         xs, ys = grid[mask], trace.powers[ch][mask]
@@ -291,11 +271,8 @@ def _separation_point(params: ModelParams, cfg: SimConfig,
             # single monotone bump clipped by the window; fall back to argmax
             i = int(np.argmax(ys))
             centers.append(xs[i])
-            fwhms.append(2.0 * params.gamma12)
             continue
-        peak = found.tallest()
-        centers.append(peak.center)
-        fwhms.append(peak.fwhm)
+        centers.append(found.tallest().center)
 
     separation = abs(centers[0] - centers[1])
     eigen_sep = 2.0 * float(branch_root(params.mismatch, coupling_rate(params)).real)

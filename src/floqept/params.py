@@ -59,7 +59,7 @@ class ModelParams:
         channel resonances rigidly; separations and phase classification
         are invariant under it.
     n1, n2 : int
-        Floquet band indices of the dissipatively coupled sidebands in
+        Floquet band indices of the dissipatively coupled sideband pair, in
         channels 1 and 2.
     """
 
@@ -122,7 +122,7 @@ class GridSpec:
 class SimConfig:
     """Numerical knobs shared by the solvers.
 
-    ``truncation_m`` is the number of Floquet sidebands kept on each side
+    ``truncation_m`` is the number of Floquet sideband orders kept on each side
     (indices -M..+M) in the harmonic-balance solver; validation enforces
     ``truncation_m >= ceil(delta_b/omega_b) + 3`` so the Bessel tails are
     negligible at the kept edge.

@@ -3,7 +3,7 @@ prints one pass/fail line with its runtime.
 
 Each criterion is a desk-scale check of the model's quantitative
 relationships; parameter choices mirror the coupled-spin-wave working points
-(red-detuned carrier against low-order drive sidebands).
+(red-detuned carrier against low-order drive sideband peaks).
 """
 
 import time

@@ -90,6 +90,15 @@ class TestLocateEp:
             locate_ep(floquet_template, 1, "closed-form", ep_cfg,
                       bracket=(3200.0, 3400.0))
 
+    @pytest.mark.parametrize("route", analysis.ROUTES)
+    def test_negative_band_order_raises(self, floquet_template, ep_cfg, route):
+        # with n < 0 the default bracket lies at negative |delta0|, where no
+        # |delta0| >= 0 can meet the threshold
+        with pytest.raises(ValueError, match="band order"):
+            locate_ep(floquet_template, -1, route, ep_cfg)
+        with pytest.raises(ValueError, match="band order"):
+            locate_ep(floquet_template.but(n1=0, n2=1), None, route, ep_cfg)
+
     @pytest.mark.parametrize("bracket", [(float("nan"), 3100.0), (3100.0, 3000.0),
                                          (3050.0, 3050.0)])
     def test_non_finite_or_reversed_bracket_raises(self, floquet_template, ep_cfg, bracket):

@@ -120,6 +120,15 @@ def test_ep_gamma_eff_off_closed_form_exit_2(tmp_path):
     assert not (tmp_path / "ep.csv").exists()
 
 
+@pytest.mark.parametrize("order", [("--n", "-1"), ("--n1", "0", "--n2", "1")],
+                         ids=["n", "n1-n2"])
+def test_ep_negative_band_order_exit_2(tmp_path, order):
+    r = run_cli("ep", "--out", str(tmp_path), *EP_POINT, *order)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "ep.csv").exists()
+
+
 def test_ep_lower_crossing_reports_positive_rate(tmp_path):
     r = run_cli("ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1", *EP_POINT,
                 "--bracket", "2900:3000")
@@ -261,6 +270,28 @@ def test_fit_missing_input_exit_4(tmp_path):
     r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
                 "--m", "1", "--input", str(tmp_path / "missing.csv"))
     assert r.returncode == 4
+
+
+@pytest.mark.parametrize("row", ["2500", "2500,nan", "2500,inf", "nan,0.2"],
+                         ids=["short", "nan-height", "inf-height", "nan-omega-b"])
+def test_fit_bad_heights_row_exit_4(tmp_path, row):
+    data = tmp_path / "heights.csv"
+    data.write_text(f"omega_b,height\n1000,0.1\n{row}\n4000,0.3\n8000,0.2\n")
+    r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
+                "--m", "1", "--input", str(data))
+    assert r.returncode == 4
+    assert f"{data}:3" in r.stderr and "Traceback" not in r.stderr
+    assert not (tmp_path / "fit.csv").exists()
+
+
+def test_fit_negative_order_exit_2(tmp_path):
+    data = tmp_path / "heights.csv"
+    data.write_text("omega_b,height\n1000,0.1\n2000,0.2\n4000,0.3\n")
+    r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
+                "--m", "-1", "--input", str(data))
+    assert r.returncode == 2
+    assert "integer >= 0" in r.stderr
+    assert not (tmp_path / "fit.csv").exists()
 
 
 def test_fit_roundtrip_from_csv(tmp_path):

@@ -260,11 +260,15 @@ class TestUndampedStates:
     def test_matches_integrator_over_twenty_periods(self, coupled_point):
         model = LabFrameModel(coupled_point)
         s0 = np.array([0.6, 0.8j])
-        ts = np.linspace(0.0, 20.0 * model.period, 201)[1:]  # interior sample times
-        traj = integrate_linear(model.fast_generator(), s0, (0.0, ts[-1]),
-                                rel_tol=1e-10, abs_tol=1e-13, t_eval=ts)
+        ts = np.linspace(0.0, 20.0 * model.period, 201)
+        states, s = [], s0
+        for span in zip(ts[:-1], ts[1:]):  # chained spans, one per sample time
+            s = integrate_linear(model.fast_generator(), s, span,
+                                 rel_tol=1e-10, abs_tol=1e-13).final_y
+            states.append(s)
+        ts = ts[1:]
         exact = model.undamped_states(s0, ts) * np.exp(-TWO_PI * coupled_point.gamma12 * ts)[:, None]
-        assert np.allclose(exact, traj.ys, rtol=1e-8, atol=1e-10)
+        assert np.allclose(exact, np.array(states), rtol=1e-8, atol=1e-10)
 
     def test_finite_at_exact_ep(self):
         # gamma_c = 111 makes the rounded mismatch land exactly on 2*Gamma_eff

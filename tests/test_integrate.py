@@ -12,21 +12,6 @@ def test_constant_scalar_exponential():
     assert traj.final_y[0] == pytest.approx(np.exp(-1j * lam), abs=1e-10)
 
 
-def test_t_eval_sample_at_t0_records_initial_state():
-    # a sample at the span start is recorded, and the later ones are reached
-    omega = 2.0 * math.pi * 3.0
-    period = 2.0 * math.pi / omega
-    s0 = np.array([0.6 + 0j, 0.8j])
-    t_eval = np.linspace(0.0, 20.0 * period, 5)
-    traj = integrate_linear(lambda t: np.diag([omega, -omega]).astype(complex), s0,
-                            (0.0, t_eval[-1]), rel_tol=1e-10, abs_tol=1e-13, t_eval=t_eval)
-    assert traj.ys.shape == (5, 2)
-    assert traj.ts[0] == 0.0 and np.allclose(traj.ts, t_eval, rtol=1e-12, atol=0.0)
-    assert np.array_equal(traj.ys[0], s0)
-    exact = np.exp(-1j * np.outer(t_eval, [omega, -omega])) * s0
-    assert np.allclose(traj.ys, exact, rtol=0.0, atol=1e-7)
-
-
 def test_tolerance_controls_error():
     # error should drop roughly in proportion to the requested tolerance
     lam = 7.0
@@ -76,16 +61,6 @@ def test_matrix_state_fundamental_solution():
     assert np.allclose(traj.final_y, expected, atol=1e-9)
 
 
-def test_t_eval_sampling():
-    lam = 3.0
-    samples = np.linspace(0.1, 0.9, 9)
-    traj = integrate_linear(
-        lambda t: np.array([[lam]]), np.array([1.0 + 0j]), (0.0, 1.0), t_eval=samples
-    )
-    assert traj.ts == pytest.approx(samples)
-    assert np.allclose(traj.ys[:, 0], np.exp(-1j * lam * samples), atol=1e-9)
-
-
 def test_deterministic_repeat():
     h = lambda t: np.array([[2.0, 0.3j], [-0.3j, -1.0]], dtype=complex) * (1 + 0.1 * math.cos(3 * t))
     s0 = np.array([1.0, 0.2j])
@@ -109,12 +84,10 @@ def test_bad_tolerances_rejected():
 def test_batch_of_one_equals_unbatched():
     h = lambda t: np.array([[2.0, 0.3j], [-0.3j, -1.0]], dtype=complex) * (1 + 0.1 * math.cos(3 * t))
     s0 = np.array([[1.0, 0.2j], [0.5, -1.0]], dtype=complex)
-    samples = [1.0, 2.5]
-    single = integrate_linear(h, s0, (0.0, 5.0), t_eval=samples)
-    batch = integrate_linear(lambda t: h(t)[None], s0[None], (0.0, 5.0), t_eval=samples)
-    assert batch.final_y.shape == (1, 2, 2) and batch.ys.shape == (2, 1, 2, 2)
+    single = integrate_linear(h, s0, (0.0, 5.0))
+    batch = integrate_linear(lambda t: h(t)[None], s0[None], (0.0, 5.0))
+    assert batch.final_y.shape == (1, 2, 2)
     assert np.array_equal(batch.final_y[0], single.final_y)
-    assert np.array_equal(batch.ys[:, 0], single.ys)
     assert (batch.n_steps, batch.n_rejected) == (single.n_steps, single.n_rejected)
 
 

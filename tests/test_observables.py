@@ -71,7 +71,7 @@ class TestSpectrum:
         assert found[0].fwhm == pytest.approx(2 * 50.0, rel=0.05)
 
     def test_driven_sideband_positions_and_order(self):
-        # single-probe configuration: carrier and first/second-order sidebands
+        # single-probe configuration: carrier and first/second-order sideband peaks
         # read out in the unprobed channel, heights ordered by J_m^2 weights
         omega_b = 3100.0
         x = 3000.0 / omega_b
@@ -100,7 +100,7 @@ class TestSpectrum:
         assert found[0].center == pytest.approx(100.0, abs=0.5)
 
     def test_power_conservation_across_drive(self):
-        # for gamma_c = 0 the summed peak heights over all sidebands are
+        # for gamma_c = 0 the summed peak heights over all sideband orders are
         # independent of the drive ratio (Bessel sum rule on the observable)
         from floqept.engine import steady_state_grid
 
@@ -112,7 +112,7 @@ class TestSpectrum:
             cfg = SimConfig(truncation_m=9)
             # peak of sideband m sits at the m-th pumping pathway delta = m*w
             deltas = omega_b * np.arange(-8, 9, dtype=float)
-            powers, _ = steady_state_grid(p, cfg, 1, deltas)
+            powers = steady_state_grid(p, cfg, 1, deltas)
             totals.append(float(np.sum(powers[0])))
         totals = np.array(totals)
         assert np.max(np.abs(totals / totals[0] - 1.0)) <= 0.02

@@ -83,19 +83,16 @@ def test_grid_matches_single_solves(coupled_point, base_cfg, case, channels):
     sideband = p.n_signed * p.omega_b
     deltas = np.array([p.delta0 - 50.0, p.delta0, p.delta0 + 50.0, 0.0, sideband,
                        sideband + 25.0])
-    powers, sidebands = steady_state_grid(p, base_cfg, channels, deltas)
+    powers = steady_state_grid(p, base_cfg, channels, deltas)
     if np.ndim(channels) == 0:
         assert powers.shape == (2, deltas.size)
-        assert sidebands.shape == (2, 2 * base_cfg.truncation_m + 1, deltas.size)
-        powers, sidebands = powers[None], sidebands[None]
+        powers = powers[None]
+    assert powers.shape == (np.size(channels), 2, deltas.size)
     for i, channel in enumerate(np.atleast_1d(channels)):
         for g, delta in enumerate(deltas):
             sol = steady_state_response(p, base_cfg, (int(channel), float(delta), 1.0))
             assert powers[i, 0, g] == pytest.approx(sol.channel_power(1), rel=1e-10)
             assert powers[i, 1, g] == pytest.approx(sol.channel_power(2), rel=1e-10)
-            for j in (0, 1):
-                assert sidebands[i, j, :, g] == pytest.approx(np.abs(sol.amps[j]) ** 2,
-                                                              rel=1e-10)
 
 
 def test_hessenberg_reduction_and_shifted_solve(rng):
@@ -148,9 +145,9 @@ def test_truncation_convergence_ladder(coupled_point):
     # the validated minimum (ceil(x)+3) is accurate to ~1e-3 relative;
     # three further orders reach solver precision
     deltas = np.array([-3100.0, -3050.0, -3025.0, -3000.0])
-    p_min, _ = steady_state_grid(coupled_point, SimConfig(truncation_m=5), 1, deltas)
-    p_mid, _ = steady_state_grid(coupled_point, SimConfig(truncation_m=8), 1, deltas)
-    p_big, _ = steady_state_grid(coupled_point, SimConfig(truncation_m=14), 1, deltas)
+    p_min = steady_state_grid(coupled_point, SimConfig(truncation_m=5), 1, deltas)
+    p_mid = steady_state_grid(coupled_point, SimConfig(truncation_m=8), 1, deltas)
+    p_big = steady_state_grid(coupled_point, SimConfig(truncation_m=14), 1, deltas)
     assert np.max(np.abs(p_min - p_big) / p_big) <= 1e-3
     assert np.max(np.abs(p_mid - p_big) / p_big) <= 1e-8
 
