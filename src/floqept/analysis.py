@@ -1,6 +1,7 @@
-"""High-level experiment reproductions: exceptional-point location by
-bifurcation search, coupling-rate reconstruction over the drive frequency,
-Bessel-weight fits of sideband heights, and the phase diagram.
+"""High-level experiment reproductions: exceptional-point location (exact
+root, bisection or split-side fit), coupling-rate reconstruction over the
+drive frequency, Bessel-weight fits of sideband heights, and the phase
+diagram.
 
 EP-location pipelines run best with narrow lines (``gamma12`` around 20 Hz)
 so the apparent peak pulling of overlapping resonances stays well below the
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    EngineError,
     band_pair_coupling,
     classify_phase,
     coupling_rate,
@@ -25,8 +27,8 @@ from .engine import (
 )
 from .numerics.bessel import bessel_j
 from .numerics.fit import FitResult, lm_fit
-from .observables import _separation_point, detect_peaks, synthesize_spectrum
-from .params import ModelParams, SimConfig, required_truncation
+from .observables import _merge_floor, _separation_point, detect_peaks, synthesize_spectrum
+from .params import ModelParams, SimConfig
 
 __all__ = [
     "BracketError",
@@ -42,6 +44,10 @@ __all__ = [
 ]
 
 ROUTES = ("closed-form", "monodromy", "spectral-pipeline")
+
+BISECTION_TOL = 0.5  # Hz: the monodromy route bisects until its bracket is narrower
+SIDEBAND_WINDOW = 250.0  # Hz each side of a sideband in harvest_sideband_heights
+MAX_MODULATION_INDEX = 12.0  # upper end of the solve_modulation_depth scan
 
 
 class BracketError(RuntimeError):
@@ -114,6 +120,35 @@ def _split_indicator(params: ModelParams, cfg: SimConfig, route: str,
     raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
 
 
+def _spectral_rate(params: ModelParams, cfg: SimConfig, lower: bool) -> float:
+    """``|Gamma|`` from the square-root splitting law fitted on the split side of the EP.
+
+    The separation pipeline is read at ``mu = +-(3, 4, 5) * max(2*Gamma_eff,
+    merge floor)``, on the split side of the lower or upper crossing, where
+    the peaks are resolved and the linewidth bias of the merged flag is
+    absent.  The square-root law ``s(mu) = 2*Re branch_root(mu, Gamma) =
+    2*sqrt(mu^2/4 - Gamma^2)`` (Heiss 2012) is fitted to those separations;
+    ``Gamma_eff`` only places the points.
+
+    Raises
+    ------
+    EngineError
+        If the fit does not converge.
+    """
+    scale = max(2.0 * coupling_rate(params), _merge_floor(cfg.grid.step, params.gamma12))
+    # in units of the scale, so lm_fit's absolute gradient test is reachable at any rate
+    units = (-1.0 if lower else 1.0) * np.array([3.0, 4.0, 5.0])
+    center = params.n * params.omega_b
+    seps = [_separation_point(params.at_detuning(center + u * scale), cfg).separation / scale
+            for u in units]
+    # the parameter is q = Gamma^2, continued to q < 0 (s > |mu|): in Gamma the law is flat
+    # at Gamma = 0, where Gauss-Newton stalls when the peaks are pulled apart
+    fit = lm_fit(lambda q, u: 2.0 * np.sqrt(0.25 * u * u - q[0]), units, seps, [0.25])
+    if not fit.converged:
+        raise EngineError(f"spectral EP: square-root law fit did not converge ({fit.message})")
+    return math.sqrt(max(float(fit.parameters[0]), 0.0)) * scale
+
+
 def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
     """Every midpoint the bisection can visit in its next ``levels`` steps from ``[lo, hi]``.
 
@@ -127,22 +162,23 @@ def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
 
 
 def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
-              bracket=None, gamma_eff: float | None = None,
-              tol: float = 0.5) -> EpResult:
+              bracket=None, gamma_eff: float | None = None) -> EpResult:
     """Locate the symmetry-breaking threshold of band order n on ``|delta0|``.
 
     The bifurcation indicator depends on the route: ``| |delta0| - n*omega_b |
     > 2*|Gamma_eff|`` (closed form), the folded quasi-energy real-part gap
     crossing 1 Hz (monodromy), or the merged flag of the spectral separation
     pipeline.  It must differ at the two ends of the bracket, by default
-    ``[n*omega_b, n*omega_b + 10*gamma_c]``.  The closed-form route then
-    returns the exact root ``n*omega_b + 2*|Gamma_eff|`` (``-`` when the
-    bracket holds the lower crossing) with ``iterations = 0`` and the bracket
-    collapsed onto it; the other routes bisect until the bracket is narrower
-    than ``tol`` (0.5 Hz) and report its midpoint.  The monodromy route
-    evaluates both bracket ends, then the midpoints of the next four
-    bisection levels, in one batched integration each.  The reported rate
-    is ``|mu*|/2`` at either crossing.
+    ``[n*omega_b, n*omega_b + 10*gamma_c]``.  The closed-form and spectral
+    routes then return ``n*omega_b + 2*|Gamma|`` (``-`` when the bracket
+    holds the lower crossing) with ``iterations = 0`` and the bracket
+    collapsed onto it: the closed form with the exact ``Gamma_eff``, the
+    spectral route with the rate fitted by :func:`_spectral_rate`.  The
+    monodromy route bisects until the bracket is narrower than
+    :data:`BISECTION_TOL` (0.5 Hz) and reports its midpoint; it evaluates
+    both bracket ends, then the midpoints of the next four bisection
+    levels, in one batched integration each.  The reported rate is
+    ``|mu*|/2`` at either crossing.
 
     ``gamma_eff`` overrides the Bessel-product coupling rate for the
     closed-form route (used when the rate is prescribed rather than derived
@@ -157,6 +193,8 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         closed-form.
     BracketError
         If the indicator does not change sign across the bracket.
+    EngineError
+        If the spectral route's square-root law fit does not converge.
     """
     if gamma_eff is not None and route != "closed-form":
         raise ValueError(f"a prescribed gamma_eff applies to the closed-form route only, not {route!r}")
@@ -173,22 +211,21 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bracket must be finite with lo < hi, got [{lo:g}, {hi:g}]")
     indicator = _split_indicator(params, cfg, route, gamma_eff)
-    # bisection levels evaluated per indicator call: one RK run serves 2^4 - 1 midpoints
-    levels = 4 if route == "monodromy" else 1
-
     split_lo, split_hi = indicator(np.array([lo, hi]))
     if split_lo == split_hi:
         raise BracketError(
             f"no bifurcation in bracket [{lo:g}, {hi:g}] Hz via {route}: "
             f"indicator is {'split' if split_lo else 'merged'} at both ends"
         )
-    if route == "closed-form":
-        # the exact root; a bracket that starts split holds the lower crossing
-        side = -2.0 if split_lo else 2.0
-        lo = hi = n * params.omega_b + side * _closed_form_rate(params, gamma_eff)
+    if route != "monodromy":
+        # a bracket that starts split holds the lower crossing
+        rate = (_closed_form_rate(params, gamma_eff) if route == "closed-form"
+                else _spectral_rate(params, cfg, lower=bool(split_lo)))
+        lo = hi = n * params.omega_b + (-2.0 if split_lo else 2.0) * rate
     iterations = 0
-    while hi - lo > tol:
-        mids = _midpoints(lo, hi, tol, levels)
+    while hi - lo > BISECTION_TOL:
+        # one batched RK run serves the 2^4 - 1 midpoints of the next four levels
+        mids = _midpoints(lo, hi, BISECTION_TOL, 4)
         split = dict(zip(mids, indicator(np.array(mids))))
         while (mid := 0.5 * (lo + hi)) in split:
             if split[mid] == split_lo:
@@ -221,8 +258,7 @@ def gamma_curve(params: ModelParams, omega_b_grid, cfg: SimConfig,
     rates = np.empty(omegas.size)
     for i, w in enumerate(omegas):
         p = params.but(omega_b=w)
-        c = cfg.but(truncation_m=max(cfg.truncation_m, required_truncation(p)))
-        rates[i] = locate_ep(p, p.n, route, c).gamma_eff
+        rates[i] = locate_ep(p, p.n, route, cfg).gamma_eff
 
     if rates.max() < 1.0:
         return GammaCurve(omegas, rates, math.nan, math.nan, math.nan,
@@ -247,11 +283,12 @@ def gamma_curve(params: ModelParams, omega_b_grid, cfg: SimConfig,
 
 
 def harvest_sideband_heights(params: ModelParams, omega_b_grid, cfg: SimConfig,
-                             orders=(0, 1, 2), window: float = 250.0):
+                             orders=(0, 1, 2)):
     """Peak heights of the probed channel's sideband orders across drive frequencies.
 
-    For each ``omega_b`` the single-probe spectrum is synthesized in narrow
-    windows around ``delta0 + m*omega_b`` and the detected peak height
+    For each ``omega_b`` the single-probe spectrum is synthesized in
+    windows of :data:`SIDEBAND_WINDOW` each side of ``delta0 + m*omega_b``
+    and the detected peak height
     recorded per order m.  The probed channel's own response is read so the
     heights carry the bare ``J_m^2`` weights with an
     ``omega_b``-independent prefactor.
@@ -261,12 +298,11 @@ def harvest_sideband_heights(params: ModelParams, omega_b_grid, cfg: SimConfig,
     heights: dict[int, list] = {m: [] for m in orders}
     for w in np.asarray(omega_b_grid, dtype=float):
         p = params.but(omega_b=w)
-        c = cfg.but(truncation_m=max(cfg.truncation_m, required_truncation(p)))
         step = cfg.grid.step
         for m in orders:
             center = p.delta0 + p.stark_shift + m * w
-            grid = np.arange(center - window, center + window + step, step)
-            trace = synthesize_spectrum(p, c, probed_channels=(1,), grid=grid)
+            grid = np.arange(center - SIDEBAND_WINDOW, center + SIDEBAND_WINDOW + step, step)
+            trace = synthesize_spectrum(p, cfg, probed_channels=(1,), grid=grid)
             ys = trace.powers[1]
             found = detect_peaks((grid, ys), prominence=0.05 * ys.max())
             h = found.nearest(center).height if len(found) else float(ys.max())
@@ -328,11 +364,12 @@ def phase_diagram(params: ModelParams, delta0_abs_grid, omega_b_grid, n: int,
 
 
 def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,
-                           target_gamma_eff: float, x_max: float = 12.0) -> float:
+                           target_gamma_eff: float) -> float:
     """Smallest drive depth ``delta_b`` with ``Gamma_eff = target``.
 
-    Scans ``x = delta_b/omega_b`` for the first bracket where
-    ``|J_n1(x) J_n2(x)| * gamma_c`` crosses the target, then bisects.
+    Scans ``x = delta_b/omega_b`` up to :data:`MAX_MODULATION_INDEX` for
+    the first bracket where ``|J_n1(x) J_n2(x)| * gamma_c`` crosses the
+    target, then bisects.
 
     Raises
     ------
@@ -345,7 +382,7 @@ def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,
     def f(x):
         return band_pair_coupling(gamma_c, x, n1, n2) - target_gamma_eff
 
-    xs = np.arange(0.0, x_max, 0.02)
+    xs = np.arange(0.0, MAX_MODULATION_INDEX, 0.02)
     lo = None
     for a, b in zip(xs[:-1], xs[1:]):
         if f(a) < 0.0 <= f(b):
@@ -354,7 +391,7 @@ def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,
     else:
         raise ValueError(
             f"Gamma_eff = {target_gamma_eff:g} Hz unreachable for bands ({n1}, {n2}) "
-            f"with gamma_c = {gamma_c:g} Hz over x <= {x_max:g}"
+            f"with gamma_c = {gamma_c:g} Hz over x <= {MAX_MODULATION_INDEX:g}"
         )
     for _ in range(80):
         mid = 0.5 * (lo + hi)

@@ -217,7 +217,10 @@ def _spectrum(args, params, cfg):
     trace = synthesize_spectrum(params, cfg, probed_channels=probed, amplitude=args.amplitude)
     peaks = {}
     for ch in (1, 2):
-        found = detect_peaks(trace, prominence=args.prominence_rel * trace.powers[ch].max(), channel=ch)
+        top = trace.powers[ch].max()
+        # an identically zero curve (an uncoupled channel read under the other probe) has no peaks
+        found = (detect_peaks(trace, prominence=args.prominence_rel * top, channel=ch)
+                 if top > 0 else [])
         peaks[f"ch{ch}"] = [
             {"center_hz": p.center, "height": p.height, "fwhm_hz": p.fwhm, "sideband": p.sideband}
             for p in found
@@ -345,7 +348,7 @@ _COMMANDS = {
     "phase-diagram": ("symmetry phase over (|delta0|, omega_b)", _phase_diagram, {
         "--sweep-delta0": {**_SWEEP, "required": True},
         "--sweep-omega-b": {**_SWEEP, "required": True},
-        "--n": {"type": int, "required": True},
+        "--n": {"type": _order, "required": True, "help": "band order >= 0"},
         "--resolution": {"type": _positive, "default": 1.0},
     }),
 }

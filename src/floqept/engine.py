@@ -420,7 +420,10 @@ def _hb_base_matrix(params: ModelParams, mtrunc: int) -> np.ndarray:
 
 
 def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> SidebandSolution:
-    """Solve the block-linear harmonic-balance system for one probe point.
+    """Solve the truncated harmonic-balance system for one probe point by dense LU.
+
+    The reference for :func:`steady_state_grid`, which is its
+    ``truncation_m -> infinity`` limit.
 
     ``probe = (channel, delta, amplitude)`` puts a monochromatic source at
     sideband m = 0 of the probed channel.  Diagonal blocks read
@@ -461,116 +464,64 @@ def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> Sideban
     )
 
 
-def _hessenberg(a: np.ndarray):
-    """Householder reduction ``a = q @ h @ q^*`` with ``h`` upper Hessenberg.
-
-    A column whose entries below the subdiagonal are already zero is left
-    as it is, so a matrix that is already Hessenberg gives ``q = I``
-    exactly.
-    """
-    h = np.array(a, dtype=complex)
-    n = h.shape[0]
-    q = np.eye(n, dtype=complex)
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        tail = np.linalg.norm(x[1:])
-        if tail == 0.0:
-            continue
-        alpha = x[0]
-        phase = alpha / abs(alpha) if alpha != 0 else 1.0
-        v = x.copy()
-        v[0] += phase * math.hypot(abs(alpha), tail)
-        v /= np.linalg.norm(v)
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v.conj())
-        h[k + 2:, k] = 0.0
-    return h, q
-
-
-def _shifted_hessenberg_solve(h: np.ndarray, deltas: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Solve ``(h + delta*I) y = c`` for every ``delta`` at once, ``O(n^2)`` each.
-
-    ``h`` is ``(n, n)`` upper Hessenberg and ``c`` is ``(n, k)``; returns
-    ``y`` of shape ``(n, k, len(deltas))``.  Gaussian elimination needs
-    only the subdiagonal removed, pivoting between neighbouring rows: the
-    row carried down from the previous step and the next row of ``h``.
-
-    Raises
-    ------
-    SingularSteadyStateError
-        On an exactly zero pivot or a non-finite solution entry, naming the
-        first ``delta`` where it occurs.
-    """
-    n = h.shape[0]
-    g = deltas.size
-    row = np.repeat(h[0, :, None], g, axis=1)
-    row[0] += deltas
-    row_rhs = np.repeat(c[0, :, None], g, axis=1)
-    pivots, pivot_rhs = [], []
-    with np.errstate(all="ignore"):  # zero pivots and overflow are caught below
-        for k in range(n - 1):
-            nxt = np.repeat(h[k + 1, k:, None], g, axis=1)
-            nxt[1] += deltas
-            nxt_rhs = c[k + 1, :, None]
-            swap = np.abs(nxt[0]) > np.abs(row[0])
-            piv, other = np.where(swap, nxt, row), np.where(swap, row, nxt)
-            piv_rhs = np.where(swap, nxt_rhs, row_rhs)
-            factor = other[0] / piv[0]
-            row = other[1:] - factor * piv[1:]
-            row_rhs = np.where(swap, row_rhs, nxt_rhs) - factor * piv_rhs
-            pivots.append(piv)
-            pivot_rhs.append(piv_rhs)
-        pivots.append(row)
-        pivot_rhs.append(row_rhs)
-        zero = np.any([u[0] == 0 for u in pivots], axis=0)
-        if zero.any():
-            raise _singular_at(deltas, zero, "zero pivot")
-        y = np.empty((n, c.shape[1], g), dtype=complex)
-        for k in range(n - 1, -1, -1):
-            u = pivots[k]
-            y[k] = (pivot_rhs[k] - np.einsum("jg,jkg->kg", u[1:], y[k + 1:])) / u[0]
-    bad = ~np.all(np.isfinite(y), axis=(0, 1))
-    if bad.any():
-        raise _singular_at(deltas, bad, "non-finite solution")
-    return y
-
-
-def _singular_at(deltas: np.ndarray, bad: np.ndarray, reason: str) -> SingularSteadyStateError:
-    delta = deltas[np.argmax(bad)]
-    return SingularSteadyStateError(f"singular steady-state system at delta = {delta:g} Hz: {reason}")
-
-
 def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
                       deltas, amplitude: complex = 1.0):
-    """Vectorized steady-state powers over a probe-detuning grid.
+    """Exact steady-state powers over a probe-detuning grid.
 
     Returns ``powers`` of shape ``(2, G)``, ``powers[j, g]`` the
     channel-(j+1) power ``sum_m |s_(j,m)|^2`` at grid point g.
-    ``probe_channel`` may also be a sequence of C channels, solved together
-    as one right-hand-side column each; ``powers`` then has shape
-    ``(C, 2, G)``, ``powers[i, j, g]`` for the i-th probed channel.
+    ``probe_channel`` may also be a sequence of C channels; ``powers`` then
+    has shape ``(C, 2, G)``, ``powers[i, j, g]`` for the i-th probed channel.
 
-    Equivalent to calling :func:`steady_state_response` per point.  The
-    delta-independent base matrix is reduced once, ``A0 = Q H Q^*`` with
-    ``H`` upper Hessenberg (Householder reflections), so each grid point
-    solves ``(H + delta I) y = Q^* b`` by an ``O(N^2)`` elimination,
-    vectorized over the grid, and maps back with ``s = Q y``.
+    This is the untruncated (``M -> infinity``) limit of
+    :func:`steady_state_response`; ``cfg.truncation_m`` is not used.  The
+    common Zeeman ladder ``diag(m*omega_b) - (delta_b/2)(S + S^T)`` is a
+    Wannier-Stark ladder with orthonormal eigenvectors ``v_k(m) =
+    J_(m-k)(x)`` and eigenvalues ``k*omega_b`` (``x = delta_b/omega_b``;
+    Jacobi-Anger, Shirley 1965), and the coupling shifts sidebands by
+    ``n_s``.  In that basis the system splits into 2x2 blocks: block k pairs
+    ``(1, k)`` with ``(2, k - n_s)`` and reads
+
+        [[delta + k*omega_b - d1 + i*gamma12, -i*Gamma_eff],
+         [-i*Gamma_eff, delta + (k - n_s)*omega_b - d2 + i*gamma12]].
+
+    A channel-1 probe drives block k with weight ``|J_k(x)|``, a channel-2
+    probe with ``|J_(k-n_s)(x)|``, and ``P_j = sum_k |y_(j,k)|^2``.  Blocks
+    run over ``|k| <= ceil(|x|) + 15 + |n_s|``, past which the weights are
+    negligible.
 
     Raises
     ------
     SingularSteadyStateError
-        On an exactly zero pivot or a non-finite solution at any grid point;
-        the message names the first such ``delta``.
+        On an exactly zero block determinant or a non-finite power at any
+        grid point; the message names the first such ``delta``.
     """
     deltas = np.asarray(deltas, dtype=float)
     channels = np.atleast_1d(probe_channel)
-    mtrunc = cfg.truncation_m
-    width = 2 * mtrunc + 1
-    h, q = _hessenberg(_hb_base_matrix(params, mtrunc))
-    rhs = np.zeros((2 * width, channels.size), dtype=complex)
-    rhs[(channels - 1) * width + mtrunc, np.arange(channels.size)] = amplitude
-    y = _shifted_hessenberg_solve(h, deltas, q.conj().T @ rhs)
-    amps = (q @ y.reshape(2 * width, -1)).reshape(2, width, channels.size, deltas.size)
-    powers = np.moveaxis((np.abs(amps) ** 2).sum(axis=1), 1, 0)
+    x, ns, w = params.modulation_index, params.n_signed, params.omega_b
+    kmax = math.ceil(abs(x)) + 15 + abs(ns)
+    ks = np.arange(-kmax, kmax + 1)
+    bessel = np.array([bessel_j(m, x) for m in range(kmax + abs(ns) + 1)])
+    weights = bessel[np.abs(np.stack([ks, ks - ns]))] ** 2  # (2, K): channel-1, channel-2 probe
+    decay = 1j * params.gamma12
+    a = (ks * w - (params.delta0 + params.stark_shift))[:, None] + deltas + decay
+    b = ((ks - ns) * w - params.stark_shift)[:, None] + deltas + decay
+    cross = coupling_rate(params) ** 2
+    det = a * b + cross
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
+        inv = 1.0 / np.abs(det) ** 2
+        # the probed channel's own response is the other diagonal entry over det
+        own = np.stack([np.abs(b) ** 2, np.abs(a) ** 2]) * inv
+        wts = abs(amplitude) ** 2 * weights[channels - 1]
+        powers = np.empty((channels.size, 2, deltas.size))
+        rows = np.arange(channels.size)
+        powers[rows, channels - 1] = np.einsum("ck,ckg->cg", wts, own[channels - 1])
+        powers[rows, 2 - channels] = wts @ (cross * inv)
+    bad = np.any(det == 0, axis=0) | ~np.all(np.isfinite(powers), axis=(0, 1))
+    if bad.any():
+        g = int(np.argmax(bad))
+        reason = "singular 2x2 block" if np.any(det[:, g] == 0) else "non-finite power"
+        raise SingularSteadyStateError(
+            f"singular steady-state system at delta = {deltas[g]:g} Hz: {reason}"
+        )
     return powers[0] if np.ndim(probe_channel) == 0 else powers

@@ -35,6 +35,10 @@ __all__ = [
     "beat_frequency",
 ]
 
+REL_PROMINENCE = 0.02  # separation peaks: prominence relative to the window maximum
+BEAT_CONFIDENCE = 20.0  # beat: required scan-maximum to scan-median ratio
+BEAT_AMPLITUDE_FLOOR = 1e-6  # beat: smallest log-contrast amplitude that counts
+
 
 @dataclass
 class SpectrumTrace:
@@ -106,8 +110,8 @@ def synthesize_spectrum(params: ModelParams, cfg: SimConfig,
 
     With both channels probed, each channel's curve is its own-probe power
     (the coupled two-channel configuration); both probes are solved in one
-    :func:`~floqept.engine.steady_state_grid` call, one right-hand-side
-    column each, on a single Hessenberg reduction of the base matrix.
+    :func:`~floqept.engine.steady_state_grid` call on the exact 2x2
+    Bessel blocks, so ``cfg.truncation_m`` does not enter.
     With a single probed channel, both curves come from that one probe: the
     unprobed channel's curve is the dissipatively transferred response.
     """
@@ -233,24 +237,24 @@ def _merge_floor(step: float, gamma12: float) -> float:
     return max(2.0 * step, 0.2 * (2.0 * gamma12))
 
 
-def separation_curve(params: ModelParams, delta0_abs_grid, cfg: SimConfig,
-                     rel_prominence: float = 0.02) -> list[SeparationPoint]:
+def separation_curve(params: ModelParams, delta0_abs_grid,
+                     cfg: SimConfig) -> list[SeparationPoint]:
     """Coupled-pipeline EIT separation versus ``|delta0|``.
 
     For each ``|delta0|`` the coupled two-channel spectra are synthesized;
     the channel-1 peak is searched within half a drive period of the
     channel-1 resonance, the channel-2 peak within the same window of the
-    coupled sideband, and the center difference recorded.  Peaks closer
+    coupled sideband (peaks of prominence at least :data:`REL_PROMINENCE`
+    of the window maximum), and the center difference recorded.  Peaks closer
     than ``max(2 grid steps, 0.2*FWHM)`` are reported merged with
     separation 0.  Each point also carries the closed-form eigenmode
     separation ``2*Re sqrt(mu^2/4 - Gamma_eff^2)`` for comparison.
     """
-    return [_separation_point(params.at_detuning(d0_abs), cfg, rel_prominence)
+    return [_separation_point(params.at_detuning(d0_abs), cfg)
             for d0_abs in np.asarray(delta0_abs_grid, dtype=float)]
 
 
-def _separation_point(params: ModelParams, cfg: SimConfig,
-                      rel_prominence: float = 0.02) -> SeparationPoint:
+def _separation_point(params: ModelParams, cfg: SimConfig) -> SeparationPoint:
     ns = params.n_signed
     c1 = params.delta0 + params.stark_shift
     c2 = ns * params.omega_b + params.stark_shift
@@ -265,7 +269,7 @@ def _separation_point(params: ModelParams, cfg: SimConfig,
     for ch, cc in ((1, c1), (2, c2)):
         mask = np.abs(grid - cc) <= half_window
         xs, ys = grid[mask], trace.powers[ch][mask]
-        prom = rel_prominence * ys.max()
+        prom = REL_PROMINENCE * ys.max()
         found = detect_peaks((xs, ys), prominence=prom)
         if len(found) == 0:
             # single monotone bump clipped by the window; fall back to argmax
@@ -285,9 +289,7 @@ def _separation_point(params: ModelParams, cfg: SimConfig,
     )
 
 
-def beat_frequency(params: ModelParams, cfg: SimConfig,
-                   confidence_threshold: float = 20.0,
-                   amplitude_floor: float = 1e-6) -> BeatMeasurement:
+def beat_frequency(params: ModelParams, cfg: SimConfig) -> BeatMeasurement:
     """Beat note of the coupled lab-frame dynamics with both modes seeded.
 
     Evaluates the exact lab-frame states
@@ -300,12 +302,12 @@ def beat_frequency(params: ModelParams, cfg: SimConfig,
     detrended and its single-frequency projection scanned up to half the
     drive frequency (one chirp z-transform); the refined maximum is
     returned when its magnitude stands above the scan median by
-    ``confidence_threshold``.
+    :data:`BEAT_CONFIDENCE`.
 
     At zero mismatch there is no oscillating component and the result has
     ``found = False`` rather than raising: a component counts as found only
-    when it stands above the scan median by ``confidence_threshold`` and
-    its log-contrast amplitude exceeds ``amplitude_floor``.
+    when it stands above the scan median by :data:`BEAT_CONFIDENCE` and
+    its log-contrast amplitude exceeds :data:`BEAT_AMPLITUDE_FLOOR`.
 
     Raises
     ------
@@ -338,7 +340,7 @@ def beat_frequency(params: ModelParams, cfg: SimConfig,
     f_star, amp, mags = refine_scan(detrended, dt, f_grid, t0=ts[0])
     med = float(np.median(mags))
     confidence = float(abs(amp) / med) if med > 0 else 0.0
-    found = confidence >= confidence_threshold and abs(amp) >= amplitude_floor
+    found = confidence >= BEAT_CONFIDENCE and abs(amp) >= BEAT_AMPLITUDE_FLOOR
     return BeatMeasurement(
         frequency=f_star if found else 0.0,
         amplitude=float(abs(amp)),

@@ -123,9 +123,11 @@ class SimConfig:
     """Numerical knobs shared by the solvers.
 
     ``truncation_m`` is the number of Floquet sideband orders kept on each side
-    (indices -M..+M) in the harmonic-balance solver; validation enforces
-    ``truncation_m >= ceil(delta_b/omega_b) + 3`` so the Bessel tails are
-    negligible at the kept edge.
+    (indices -M..+M) by the dense single-point harmonic-balance solve
+    (``engine.steady_state_response``), the reference for the spectra;
+    validation enforces ``truncation_m >= ceil(delta_b/omega_b) + 3``.  The
+    spectra themselves (``engine.steady_state_grid``) are the exact
+    untruncated solution and do not read it.
     """
 
     truncation_m: int = 6

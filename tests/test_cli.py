@@ -325,6 +325,31 @@ def test_phase_diagram_counts(tmp_path):
     assert "unbroken" in tags and "broken" in tags
 
 
+def test_phase_diagram_negative_band_order_exit_2(tmp_path):
+    r = run_cli(
+        "phase-diagram", "--out", str(tmp_path), "--sweep-delta0", "2900:3200:50",
+        "--sweep-omega-b", "3000:3000:1", "--n", "-1",
+        "--gamma-c", "93", "--delta-b", "4300", "--n1", "1",
+    )
+    assert r.returncode == 2
+    assert "integer >= 0" in r.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_uncoupled_transfer_has_no_peaks(tmp_path):
+    # with gamma_c = 0 nothing reaches channel 2 under a channel-1 probe
+    r = run_cli(
+        "spectrum", "--out", str(tmp_path), "--probe", "ch1", "--delta0", "0", "--gamma-c", "0",
+        "--delta-b", "3000", "--omega-b", "3100", "--truncation-m", "7", "--grid=-6500:6500:4",
+    )
+    assert r.returncode == 0, r.stderr
+    summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+    assert summary["peaks"]["ch2"] == []
+    assert len(summary["peaks"]["ch1"]) >= 3
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert all(float(row[2]) == 0.0 for row in rows)
+
+
 def test_malformed_config_exit_2(tmp_path):
     conf = tmp_path / "broken.conf"
     conf.write_text("delta0 -3050\n")  # missing '='

@@ -5,8 +5,6 @@ from floqept import ModelParams, SimConfig, SingularSteadyStateError
 from floqept.engine import (
     TWO_PI,
     LabFrameModel,
-    _hessenberg,
-    _shifted_hessenberg_solve,
     branch_root,
     effective_coupling,
     steady_state_grid,
@@ -79,6 +77,7 @@ def _grid_point(coupled_point, case):
     "case", ["n1_neg", "n1_pos", "n2_neg", "n2_pos", "n3_neg", "n3_pos", "ep"]
 )
 def test_grid_matches_single_solves(coupled_point, base_cfg, case, channels):
+    # the grid is the untruncated limit: compare with a converged dense LU
     p = _grid_point(coupled_point, case)
     sideband = p.n_signed * p.omega_b
     deltas = np.array([p.delta0 - 50.0, p.delta0, p.delta0 + 50.0, 0.0, sideband,
@@ -88,39 +87,25 @@ def test_grid_matches_single_solves(coupled_point, base_cfg, case, channels):
         assert powers.shape == (2, deltas.size)
         powers = powers[None]
     assert powers.shape == (np.size(channels), 2, deltas.size)
+    converged = SimConfig(truncation_m=16)
     for i, channel in enumerate(np.atleast_1d(channels)):
         for g, delta in enumerate(deltas):
-            sol = steady_state_response(p, base_cfg, (int(channel), float(delta), 1.0))
+            sol = steady_state_response(p, converged, (int(channel), float(delta), 1.0))
             assert powers[i, 0, g] == pytest.approx(sol.channel_power(1), rel=1e-10)
             assert powers[i, 1, g] == pytest.approx(sol.channel_power(2), rel=1e-10)
 
 
-def test_hessenberg_reduction_and_shifted_solve(rng):
-    # a = q h q^*, h upper Hessenberg, q unitary; the shifted solve needs its
-    # neighbour-row pivoting: every diagonal of h + delta*I is at most 1e-12
-    n = 12
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    h, q = _hessenberg(a)
-    assert np.allclose(q @ h @ q.conj().T, a, rtol=0.0, atol=1e-12)
-    assert np.allclose(q.conj().T @ q, np.eye(n), rtol=0.0, atol=1e-13)
-    assert not np.any(np.tril(h, -2))
-    already = np.triu(a, -1)
-    h0, q0 = _hessenberg(already)
-    assert np.array_equal(q0, np.eye(n)) and np.array_equal(h0, already)
-    h = np.triu(rng.normal(size=(n, n)) + 1j, -1)
-    h[np.diag_indices(n)] = 0.0
-    deltas = np.array([1e-12, -1e-13, 1e-14])
-    c = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    y = _shifted_hessenberg_solve(h, deltas, c)
-    for g, delta in enumerate(deltas):
-        want = np.linalg.solve(h + delta * np.eye(n), c)
-        assert np.allclose(y[:, :, g], want, rtol=1e-10, atol=0.0)
-
-
-def test_shifted_solve_zero_pivot_raises():
-    h = np.diag([1.0, 0.0, 2.0]).astype(complex)
-    with pytest.raises(SingularSteadyStateError, match="zero pivot"):
-        _shifted_hessenberg_solve(h, np.array([0.5, 0.0]), np.ones((3, 1), dtype=complex))
+def test_grid_raises_where_the_dense_solve_does():
+    # gamma12 = gamma_c = 0 with the probe on the channel-1 resonance: block
+    # k = 0 has det == 0 exactly, and the dense LU rejects the point too
+    p = ModelParams(delta0=-3050.0, gamma_c=0.0, gamma12=0.0, delta_b=4300.0,
+                    omega_b=3000.0, n1=1)
+    cfg = SimConfig(truncation_m=5)
+    with pytest.raises(SingularSteadyStateError):
+        steady_state_response(p, cfg, (1, -3050.0, 1.0))
+    with pytest.raises(SingularSteadyStateError, match="delta = -3050 Hz: singular 2x2 block"):
+        steady_state_grid(p, cfg, 1, np.array([-3100.0, -3050.0, -3000.0]))
+    assert np.all(np.isfinite(steady_state_grid(p, cfg, 1, np.array([-3100.0, -3025.0]))))
 
 
 def test_sideband_weights_follow_bessel_squares():
@@ -142,12 +127,16 @@ def test_sideband_weights_follow_bessel_squares():
 
 
 def test_truncation_convergence_ladder(coupled_point):
-    # the validated minimum (ceil(x)+3) is accurate to ~1e-3 relative;
-    # three further orders reach solver precision
-    deltas = np.array([-3100.0, -3050.0, -3025.0, -3000.0])
-    p_min = steady_state_grid(coupled_point, SimConfig(truncation_m=5), 1, deltas)
-    p_mid = steady_state_grid(coupled_point, SimConfig(truncation_m=8), 1, deltas)
-    p_big = steady_state_grid(coupled_point, SimConfig(truncation_m=14), 1, deltas)
+    # the validated minimum (ceil(x)+3) of the dense solve is accurate to
+    # ~1e-3 relative; three further orders reach solver precision
+    deltas = (-3100.0, -3050.0, -3025.0, -3000.0)
+
+    def powers(m):
+        cfg = SimConfig(truncation_m=m)
+        return np.array([steady_state_response(coupled_point, cfg, (1, d, 1.0)).channel_power(1)
+                         for d in deltas])
+
+    p_min, p_mid, p_big = powers(5), powers(8), powers(14)
     assert np.max(np.abs(p_min - p_big) / p_big) <= 1e-3
     assert np.max(np.abs(p_mid - p_big) / p_big) <= 1e-8
 
