@@ -1,12 +1,7 @@
 """High-level experiment reproductions: exceptional-point location (exact
-root, bisection or split-side fit), coupling-rate reconstruction over the
-drive frequency, Bessel-weight fits of sideband heights, and the phase
-diagram.
-
-EP-location pipelines run best with narrow lines (``gamma12`` around 20 Hz)
-so the apparent peak pulling of overlapping resonances stays well below the
-5 percent extraction targets; the defaults below assume the caller sets
-that in the parameter template.
+root, bisection or the transfer poles of the spectrum), coupling-rate
+reconstruction over the drive frequency, Bessel-weight fits of sideband
+heights, and the phase diagram.
 """
 
 from __future__ import annotations
@@ -17,17 +12,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    EngineError,
     band_pair_coupling,
     classify_phase,
     coupling_rate,
     effective_coupling,
     is_split,
     monodromy_quasienergies,
+    steady_state_grid,
 )
 from .numerics.bessel import bessel_j
 from .numerics.fit import FitResult, lm_fit
-from .observables import _merge_floor, _separation_point, detect_peaks, synthesize_spectrum
+from .observables import detect_peaks, synthesize_spectrum
 from .params import ModelParams, SimConfig
 
 __all__ = [
@@ -101,52 +96,53 @@ def _rate_curve(gamma_c: float, delta_b: float, omegas) -> np.ndarray:
     return np.array([effective_coupling(gamma_c, delta_b, w, 1, 0) for w in omegas])
 
 
-def _closed_form_rate(params: ModelParams, gamma_eff_override: float | None) -> float:
-    """``|Gamma_eff|`` of the closed-form route: the prescribed rate, else the model's."""
-    return abs(coupling_rate(params) if gamma_eff_override is None else gamma_eff_override)
+def _pole_rate(params: ModelParams, cfg: SimConfig) -> float:
+    """``|Gamma|`` read from the transfer poles of the coupled pair at ``params``.
 
-
-def _split_indicator(params: ModelParams, cfg: SimConfig, route: str,
-                     gamma_eff_override: float | None):
-    """Return f(|delta0| array) -> bool array, True where the pair has bifurcated (broken)."""
-    if route == "closed-form":
-        threshold = 2.0 * _closed_form_rate(params, gamma_eff_override)
-        return lambda d0_abs: np.abs(d0_abs - params.n * params.omega_b) > threshold
-    if route == "monodromy":
-        return lambda d0_abs: np.array([is_split(q) for q in monodromy_quasienergies(params, cfg, d0_abs)])
-    if route == "spectral-pipeline":
-        return lambda d0_abs: np.array(
-            [not _separation_point(params.at_detuning(d), cfg).merged for d in d0_abs.tolist()])
-    raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-
-
-def _spectral_rate(params: ModelParams, cfg: SimConfig, lower: bool) -> float:
-    """``|Gamma|`` from the square-root splitting law fitted on the split side of the EP.
-
-    The separation pipeline is read at ``mu = +-(3, 4, 5) * max(2*Gamma_eff,
-    merge floor)``, on the split side of the lower or upper crossing, where
-    the peaks are resolved and the linewidth bias of the merged flag is
-    absent.  The square-root law ``s(mu) = 2*Re branch_root(mu, Gamma) =
-    2*sqrt(mu^2/4 - Gamma^2)`` (Heiss 2012) is fitted to those separations;
-    ``Gamma_eff`` only places the points.
-
-    Raises
-    ------
-    EngineError
-        If the fit does not converge.
+    Near the coupled resonances ``c1 = delta0 + stark`` and ``c2 =
+    n_s*omega_b + stark`` one Bessel block of :func:`steady_state_grid`
+    dominates, so the cross-channel transfer is ``P = J^2 Gamma^2 /
+    |(delta - lam+)(delta - lam-)|^2`` and ``1/P`` is a real quartic with
+    roots ``(c1 + c2)/2 +- r -+ i*gamma12``.  The quartic ``Q`` minimising
+    ``sum (P*Q - 1)^2`` is a linear least-squares fit (Levy 1959); with
+    ``r`` half the spread of its roots' real parts and ``mu = c1 - c2``,
+    ``Gamma^2 = mu^2/4 - r^2``.  The window is capped at ``0.15*omega_b``
+    to keep the neighbouring blocks out.  The probe goes to the channel
+    with the larger weight on the block (``|J_0(x)|`` for channel 1,
+    ``|J_n(x)|`` for channel 2).  A transfer that is identically zero reads 0.
     """
-    scale = max(2.0 * coupling_rate(params), _merge_floor(cfg.grid.step, params.gamma12))
-    # in units of the scale, so lm_fit's absolute gradient test is reachable at any rate
-    units = (-1.0 if lower else 1.0) * np.array([3.0, 4.0, 5.0])
+    c1 = params.delta0 + params.stark_shift
+    c2 = params.n_signed * params.omega_b + params.stark_shift
+    center, mu = 0.5 * (c1 + c2), c1 - c2
+    half = min(abs(mu) + 6.0 * params.gamma12 + 4.0 * coupling_rate(params), 0.15 * params.omega_b)
+    u = np.arange(-half, half, cfg.grid.step) / half
+    x = params.modulation_index
+    probe = 1 if abs(bessel_j(0, x)) >= abs(bessel_j(params.n, x)) else 2
+    transfer = steady_state_grid(params, cfg, probe, center + half * u)[2 - probe]
+    peak = transfer.max()
+    if peak == 0.0:
+        return 0.0
+    quartic = np.linalg.lstsq((transfer / peak)[:, None] * np.vander(u, 5), np.ones(u.size),
+                              rcond=None)[0]
+    re = np.roots(quartic).real
+    r = 0.5 * half * (re.max() - re.min())
+    return math.sqrt(max(0.25 * mu * mu - r * r, 0.0))
+
+
+def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
+                gamma_eff_override: float | None) -> float:
+    """``|Gamma|`` of the closed-form or spectral route.
+
+    The closed form uses the prescribed rate, else the model's.  The
+    spectral route averages :func:`_pole_rate` over the split-side points
+    ``mu = +-(1.5, 2, 3) * max(2*Gamma_eff, grid step)``.
+    """
+    if route == "closed-form":
+        return abs(coupling_rate(params) if gamma_eff_override is None else gamma_eff_override)
+    scale = max(2.0 * coupling_rate(params), cfg.grid.step)
+    mus = np.array([1.5, 2.0, 3.0, -1.5, -2.0, -3.0]) * scale
     center = params.n * params.omega_b
-    seps = [_separation_point(params.at_detuning(center + u * scale), cfg).separation / scale
-            for u in units]
-    # the parameter is q = Gamma^2, continued to q < 0 (s > |mu|): in Gamma the law is flat
-    # at Gamma = 0, where Gauss-Newton stalls when the peaks are pulled apart
-    fit = lm_fit(lambda q, u: 2.0 * np.sqrt(0.25 * u * u - q[0]), units, seps, [0.25])
-    if not fit.converged:
-        raise EngineError(f"spectral EP: square-root law fit did not converge ({fit.message})")
-    return math.sqrt(max(float(fit.parameters[0]), 0.0)) * scale
+    return float(np.mean([_pole_rate(params.at_detuning(center + m), cfg) for m in mus]))
 
 
 def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
@@ -166,15 +162,15 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
     """Locate the symmetry-breaking threshold of band order n on ``|delta0|``.
 
     The bifurcation indicator depends on the route: ``| |delta0| - n*omega_b |
-    > 2*|Gamma_eff|`` (closed form), the folded quasi-energy real-part gap
-    crossing 1 Hz (monodromy), or the merged flag of the spectral separation
-    pipeline.  It must differ at the two ends of the bracket, by default
-    ``[n*omega_b, n*omega_b + 10*gamma_c]``.  The closed-form and spectral
-    routes then return ``n*omega_b + 2*|Gamma|`` (``-`` when the bracket
-    holds the lower crossing) with ``iterations = 0`` and the bracket
-    collapsed onto it: the closed form with the exact ``Gamma_eff``, the
-    spectral route with the rate fitted by :func:`_spectral_rate`.  The
-    monodromy route bisects until the bracket is narrower than
+    > 2*|Gamma|`` for the closed-form and spectral routes, the folded
+    quasi-energy real-part gap crossing 1 Hz for monodromy.  The closed form
+    takes the exact ``Gamma_eff``; the spectral route reads ``Gamma`` from
+    six spectra by :func:`_route_rate`, once per call.  The indicator must
+    differ at the two ends of the bracket, by default ``[n*omega_b,
+    n*omega_b + 10*gamma_c]``.  The closed-form and spectral routes then
+    return ``n*omega_b + 2*|Gamma|`` (``-`` when the bracket holds the lower
+    crossing) with ``iterations = 0`` and the bracket collapsed onto it.
+    The monodromy route bisects until the bracket is narrower than
     :data:`BISECTION_TOL` (0.5 Hz) and reports its midpoint; it evaluates
     both bracket ends, then the midpoints of the next four bisection
     levels, in one batched integration each.  The reported rate is
@@ -190,11 +186,9 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         If the band order is negative (the default bracket would lie at
         negative ``|delta0|``), if ``bracket`` is not finite or not ordered
         ``lo < hi``, or if ``gamma_eff`` is given for a route other than
-        closed-form.
+        closed-form, or if ``route`` is not one of :data:`ROUTES`.
     BracketError
         If the indicator does not change sign across the bracket.
-    EngineError
-        If the spectral route's square-root law fit does not converge.
     """
     if gamma_eff is not None and route != "closed-form":
         raise ValueError(f"a prescribed gamma_eff applies to the closed-form route only, not {route!r}")
@@ -210,25 +204,34 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bracket must be finite with lo < hi, got [{lo:g}, {hi:g}]")
-    indicator = _split_indicator(params, cfg, route, gamma_eff)
-    split_lo, split_hi = indicator(np.array([lo, hi]))
+    if route == "monodromy":
+        rate = None
+
+        def split(d0_abs):
+            return np.array([is_split(q) for q in monodromy_quasienergies(params, cfg, d0_abs)])
+    elif route in ROUTES:
+        rate = _route_rate(params, cfg, route, gamma_eff)
+
+        def split(d0_abs):
+            return np.abs(d0_abs - n * params.omega_b) > 2.0 * rate
+    else:
+        raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
+    split_lo, split_hi = split(np.array([lo, hi]))
     if split_lo == split_hi:
         raise BracketError(
             f"no bifurcation in bracket [{lo:g}, {hi:g}] Hz via {route}: "
             f"indicator is {'split' if split_lo else 'merged'} at both ends"
         )
-    if route != "monodromy":
+    if rate is not None:
         # a bracket that starts split holds the lower crossing
-        rate = (_closed_form_rate(params, gamma_eff) if route == "closed-form"
-                else _spectral_rate(params, cfg, lower=bool(split_lo)))
         lo = hi = n * params.omega_b + (-2.0 if split_lo else 2.0) * rate
     iterations = 0
     while hi - lo > BISECTION_TOL:
         # one batched RK run serves the 2^4 - 1 midpoints of the next four levels
         mids = _midpoints(lo, hi, BISECTION_TOL, 4)
-        split = dict(zip(mids, indicator(np.array(mids))))
-        while (mid := 0.5 * (lo + hi)) in split:
-            if split[mid] == split_lo:
+        split_at = dict(zip(mids, split(np.array(mids))))
+        while (mid := 0.5 * (lo + hi)) in split_at:
+            if split_at[mid] == split_lo:
                 lo = mid
             else:
                 hi = mid

@@ -261,8 +261,9 @@ def _ep(args, params, cfg):
 
 def _gamma_curve(args, params, cfg):
     curve = gamma_curve(params, args.sweep_omega_b, cfg)
-    fitted = curve.fitted() if curve.ok else np.full(curve.omega_b.size, math.nan)
-    rows = zip(curve.omega_b, curve.gamma_eff, fitted)
+    if not curve.ok:
+        raise SystemExit(_fail(EXIT_NUMERICAL, f"numerical failure: fit rejected: {curve.message}"))
+    rows = zip(curve.omega_b, curve.gamma_eff, curve.fitted())
     summary = {
         "gamma_c_fit_hz": curve.gamma_c_fit,
         "delta_b_fit_hz": curve.delta_b_fit,

@@ -227,16 +227,6 @@ def detect_peaks(trace, prominence: float, channel: int | None = None,
     return PeakSet(peaks)
 
 
-def _merge_floor(step: float, gamma12: float) -> float:
-    """Resolution floor below which two features count as one.
-
-    Uses the nominal single-resonance linewidth (FWHM = 2*gamma12 for the
-    power Lorentzian) rather than the measured FWHM, which degenerates right
-    at the coalescence where the criterion has to act.
-    """
-    return max(2.0 * step, 0.2 * (2.0 * gamma12))
-
-
 def separation_curve(params: ModelParams, delta0_abs_grid,
                      cfg: SimConfig) -> list[SeparationPoint]:
     """Coupled-pipeline EIT separation versus ``|delta0|``.
@@ -280,7 +270,9 @@ def _separation_point(params: ModelParams, cfg: SimConfig) -> SeparationPoint:
 
     separation = abs(centers[0] - centers[1])
     eigen_sep = 2.0 * float(branch_root(params.mismatch, coupling_rate(params)).real)
-    merged = separation < _merge_floor(step, params.gamma12)
+    # the floor uses the nominal linewidth (power FWHM 2*gamma12): the measured
+    # FWHM degenerates right at the coalescence, where the criterion has to act
+    merged = separation < max(2.0 * step, 0.2 * (2.0 * params.gamma12))
     return SeparationPoint(
         delta0_abs=abs(params.delta0),
         separation=0.0 if merged else separation,

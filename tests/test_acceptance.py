@@ -28,7 +28,6 @@ from floqept import (
     solve_modulation_depth,
     static_eigenvalues,
 )
-from floqept.analysis import _split_indicator
 from floqept.engine import TWO_PI, LabFrameModel, static_hamiltonian, steady_state_response
 from floqept.numerics.bessel import bessel_j
 from floqept.numerics.eig import eig_small

@@ -428,6 +428,21 @@ def test_gamma_curve_smoke(tmp_path):
     assert abs(summary["gamma_c_fit_hz"] - 93.0) / 93.0 < 0.1
 
 
+def test_gamma_curve_rejected_fit_exit_3(tmp_path, capsys):
+    from floqept.cli import main
+
+    # with no drive every extracted rate is 0 and the fit is rejected
+    argv = ["gamma-curve", "--out", str(tmp_path), "--sweep-omega-b", "2500:8000:500",
+            "--delta0", "-3000", "--gamma-c", "93", "--gamma12", "20", "--delta-b", "0",
+            "--n1", "1", "--truncation-m", "5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "all extracted rates consistent with zero" in capsys.readouterr().err
+    assert not (tmp_path / "gamma_curve.csv").exists()
+    assert not (tmp_path / "gamma_curve_summary.json").exists()
+
+
 def test_eigen_route_all(tmp_path):
     r = run_cli(
         "eigen", "--out", str(tmp_path), "--route", "all",
