@@ -6,7 +6,8 @@ Two independent eigenvalue routes are provided:
 * closed forms for the static and Floquet-coupled two-mode systems; the
   Floquet one (:func:`floquet_eigenvalues`) is the rotating-wave result
   for the declared band pair,
-* exact monodromy quasi-energies of the lab-frame time-periodic system.
+* exact monodromy quasi-energies of the lab-frame time-periodic system,
+  integrated in the interaction frame of its diagonal.
 
 Lab-frame model
 ---------------
@@ -32,7 +33,6 @@ phases evolve as ``exp(-i 2 pi nu t)`` with t in seconds.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+DET_RESIDUAL_MAX = 1e-6  # relative |det(M)| mismatch past which a monodromy run fails
 
 PHASES = ("unbroken", "ep", "broken")  # phase tags, indexed by classify_phase codes
 
@@ -197,11 +198,13 @@ def floquet_eigenvalues(delta0: float, omega_b: float, n: int, gamma_eff: float)
 class LabFrameModel:
     """Time-periodic 2x2 generator of the driven dissipatively coupled pair.
 
-    ``matrix(t)`` returns the Hamiltonian in Hz; ``fast_generator()`` the
-    2*pi-scaled version fed to the integrator; ``undamped_states(s0, ts)``
-    the exact solution without the decay.  ``H(t + T) = H(t)`` exactly
-    with ``T = 1/omega_b``, and ``delta_b = 0`` with ``n1 = n2 = 0`` reduces
-    the matrix to the static one.
+    ``matrix(t)`` returns the lab-frame Hamiltonian in Hz; ``fast_generator``
+    the 2*pi-scaled interaction-frame generator fed to the integrator;
+    ``undamped_states(s0, ts)`` the exact solution without the decay.
+    ``H(t + T) = H(t)`` exactly with ``T = 1/omega_b``, and ``delta_b = 0``
+    with ``n1 = n2 = 0`` reduces the matrix to the static one.  A lab state
+    is ``F(t) v(t)`` with ``F(t) = diag(exp(-2 pi i delta0 t), 1) *
+    exp(-2 pi i drive_cycles(t))`` and ``v`` the interaction-frame state.
     """
 
     def __init__(self, params: ModelParams):
@@ -209,53 +212,44 @@ class LabFrameModel:
         self.gamma_eff = coupling_rate(params)
         self.n_signed = params.n_signed
         self.period = 1.0 / params.omega_b
-        self._gamma12 = params.gamma12
 
     def matrix(self, t: float) -> np.ndarray:
         p = self.params
         common = p.delta_b * math.cos(TWO_PI * p.omega_b * t)
-        phase = cmath.exp(-2j * math.pi * self.n_signed * p.omega_b * t)
+        phase = np.exp(-2j * math.pi * self.n_signed * p.omega_b * t)
         off = 1j * self.gamma_eff
-        return np.array(
-            [
-                [p.delta0 + common - 1j * self._gamma12, off * phase],
-                [off * phase.conjugate(), common - 1j * self._gamma12],
-            ],
-            dtype=complex,
-        )
+        return np.array([[p.delta0 + common - 1j * p.gamma12, off * phase],
+                         [off * phase.conjugate(), common - 1j * p.gamma12]])
 
-    def fast_generator(self, d0_abs=None):
-        """``2*pi * matrix(t)`` as a closure reusing one scratch matrix.
+    def fast_generator(self, d0_abs):
+        """``2*pi * F(t)^-1 (matrix(t) - Re diag matrix(t)) F(t)``, stacked over ``d0_abs``.
 
-        With ``d0_abs``, a sequence of G detunings, the closure returns the
-        ``(G, 2, 2)`` stack of the models at ``params.at_detuning(d)``, one
-        member per detuning; they differ only in ``delta0`` (and in
-        ``n_signed`` where the signed zero flips it).  The integrator calls
-        the generator at every Runge-Kutta stage; this avoids per-call
-        array construction.  The returned callable must not be used
+        Member g, the model at ``params.at_detuning(d0_abs[g])``, reads
+        ``2*pi*[[-i*gamma12, i*Gamma_eff*exp(2 pi i mu t)], [i*Gamma_eff*exp(-2
+        pi i mu t), -i*gamma12]]`` with ``mu = delta0 - n_s*omega_b`` (the
+        signed zero flips ``n_s``).  The closure fills one ``(G, 2, 2)``
+        scratch stack at every Runge-Kutta stage and must not be used
         concurrently.
         """
         p = self.params
-        members = [p] if d0_abs is None else [p.at_detuning(d) for d in d0_abs]
+        members = [p.at_detuning(d) for d in d0_abs]
+        w_mu = TWO_PI * np.array([m.delta0 - m.n_signed * p.omega_b for m in members])
         buf = np.empty((len(members), 2, 2), dtype=complex)
-        w_mod = TWO_PI * p.omega_b
-        w_coup = TWO_PI * p.omega_b * np.array([m.n_signed for m in members])
+        buf[:, 0, 0] = buf[:, 1, 1] = -1j * TWO_PI * p.gamma12
         off = 1j * TWO_PI * self.gamma_eff
-        decay = -1j * TWO_PI * self._gamma12
-        d0 = TWO_PI * np.array([m.delta0 for m in members])
-        depth = TWO_PI * p.delta_b
-        out = buf[0] if d0_abs is None else buf
 
         def gen(t: float) -> np.ndarray:
-            common = depth * math.cos(w_mod * t) + decay
-            phase = np.exp(-1j * w_coup * t)
-            buf[:, 0, 0] = d0 + common
-            buf[:, 1, 1] = common
+            phase = np.exp(1j * w_mu * t)
             buf[:, 0, 1] = off * phase
             buf[:, 1, 0] = off * phase.conjugate()
-            return out
+            return buf
 
         return gen
+
+    def drive_cycles(self, ts):
+        """Phase of the common modulation in cycles, ``delta_b*sin(2 pi omega_b t)/(2 pi omega_b)``."""
+        w = TWO_PI * self.params.omega_b
+        return self.params.delta_b * np.sin(w * ts) / w
 
     def undamped_states(self, s0, ts) -> np.ndarray:
         """Exact states ``s(t)`` from ``s(0) = s0``, without the rigid decay.
@@ -283,7 +277,7 @@ class LabFrameModel:
         lam = branch_root(m, self.gamma_eff)
         u = np.cos(TWO_PI * lam * ts) * s0 - 1j * TWO_PI * ts * np.sinc(2.0 * lam * ts) * (k0 @ s0)
         w = TWO_PI * p.omega_b
-        scalar = 0.5 * p.delta0 * ts + p.delta_b * np.sin(w * ts) / w
+        scalar = 0.5 * p.delta0 * ts + self.drive_cycles(ts)
         frame = np.exp(-0.5j * w * self.n_signed * ts * np.array([1.0, -1.0]))
         return frame * np.exp(-1j * TWO_PI * scalar) * u
 
@@ -319,11 +313,12 @@ def is_split(q: QuasiEnergySet) -> bool:
 def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
     """Exact Floquet quasi-energies from the one-period fundamental matrix.
 
-    Integrates ``dU/dt = -i * 2*pi * H(t) * U`` over one modulation period
-    with the embedded Runge-Kutta pair, then takes
-    ``nu = i*log(eig(U))/(2*pi*T)`` on the principal branch and folds the
-    real parts into the first Floquet zone.  Real parts closer than
-    ``rel_tol * omega_b`` (the integration's noise scale) order as ties.
+    Integrates the interaction-frame propagator ``V`` of
+    :meth:`LabFrameModel.fast_generator` over one modulation period with the
+    embedded Runge-Kutta pair, then takes ``nu = i*log(eig(M))/(2*pi*T)``
+    of ``M = F(T) V(T)`` on the principal branch and folds the real parts
+    into the first Floquet zone.  Real parts closer than ``rel_tol *
+    omega_b`` (the integration's noise scale) order as ties.
 
     Without ``d0_abs`` this returns the :class:`QuasiEnergySet` of
     ``params``.  With a sequence ``d0_abs`` it returns one set per point,
@@ -333,7 +328,9 @@ def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
     Raises
     ------
     EngineError
-        When a monodromy eigenvalue underflows (log branch ambiguous).
+        When a monodromy eigenvalue underflows (log branch ambiguous), or
+        ``det_residual`` exceeds :data:`DET_RESIDUAL_MAX` (the run lost the
+        decay, as when a large ``gamma12`` sinks the state below ``abs_tol``).
     """
     # params itself is the stack of one at its own |delta0|
     points = [abs(params.delta0)] if d0_abs is None else d0_abs
@@ -346,7 +343,9 @@ def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
         rel_tol=cfg.rel_tol,
         abs_tol=cfg.abs_tol,
     )
-    mono = traj.final_y
+    mono = traj.final_y * np.exp(-1j * TWO_PI * model.drive_cycles(period))  # M = F(T) V(T)
+    mono[:, 0] *= np.exp(-1j * TWO_PI * period * np.array([params.at_detuning(d).delta0
+                                                            for d in points]))[:, None]
     lam = np.linalg.eigvals(mono)
     small = np.any(np.abs(lam) < 1e-300, axis=1)
     if small.any():
@@ -361,15 +360,16 @@ def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
 
     det_target = math.exp(-2.0 * TWO_PI * params.gamma12 * period)
     det_residual = np.abs(np.abs(np.linalg.det(mono)) - det_target) / det_target
-    sets = []
-    for values, zones, residual in zip(folded, offsets, det_residual):
-        idx = order_eigenvalues(values, tie_tol=cfg.rel_tol * w)
-        sets.append(QuasiEnergySet(
-            values=(complex(values[idx[0]]), complex(values[idx[1]])),
-            zone_offsets=(int(zones[idx[0]]), int(zones[idx[1]])),
-            omega_b=w,
-            det_residual=float(residual),
-        ))
+    lost = ~(det_residual <= DET_RESIDUAL_MAX)
+    if lost.any():
+        g = int(np.argmax(lost))
+        raise EngineError(f"monodromy determinant residual {det_residual[g]:.3g} at |delta0| = "
+                          f"{points[g]:g} Hz: the decay is unresolved (gamma12 too large?)")
+    order = [order_eigenvalues(values, tie_tol=cfg.rel_tol * w) for values in folded]
+    sets = [QuasiEnergySet(values=tuple(map(complex, values[idx])),
+                           zone_offsets=tuple(map(int, zones[idx])),
+                           omega_b=w, det_residual=float(residual))
+            for values, zones, residual, idx in zip(folded, offsets, det_residual, order)]
     return sets[0] if d0_abs is None else sets
 
 

@@ -23,9 +23,9 @@ _SERIES_CUTOVER = 12.0
 
 def _series(m: int, x: float) -> float:
     # J_m(x) = sum_k (-1)^k (x/2)^(m+2k) / (k! (m+k)!)
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
     half = 0.5 * x
+    if half == 0.0:  # x = 0, or the smallest subnormal, which halves to 0
+        return 1.0 if m == 0 else 0.0
     term = math.exp(m * math.log(half) - math.lgamma(m + 1))
     total = term
     hh = half * half

@@ -155,7 +155,7 @@ def integrate_linear(
         err = float(np.max(_norms(err_vec, scale)))
 
         if err <= 1.0:
-            t = t + h
+            t = t + h if h < t1 - t else t1  # t + (t1 - t) can round short of t1
             y = y_new
             k[0] = k[6]  # FSAL
             n_steps += 1

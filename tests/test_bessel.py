@@ -31,6 +31,12 @@ def test_j1_at_zero():
     assert bessel_j(1, 0.0) == 0.0
 
 
+def test_smallest_subnormal_argument():
+    # 5e-324 halves to 0, where the series' log(x/2) has no value
+    assert bessel_j(0, 5e-324) == 1.0
+    assert bessel_j(1, 5e-324) == 0.0
+
+
 def test_j0_at_one_frozen():
     # frozen from the series oracle above
     assert bessel_j(0, 1.0) == pytest.approx(0.7651976865579666, abs=1e-12)

@@ -443,6 +443,19 @@ def test_gamma_curve_rejected_fit_exit_3(tmp_path, capsys):
     assert not (tmp_path / "gamma_curve_summary.json").exists()
 
 
+def test_eigen_monodromy_unresolved_decay_exit_3(tmp_path, capsys):
+    from floqept.cli import main
+
+    # the decay over one period falls far below abs_tol, so the integration loses it
+    argv = ["eigen", "--out", str(tmp_path), "--route", "monodromy", "--delta0", "-3050",
+            "--gamma-c", "93", "--gamma12", "1e5", "--delta-b", "4300", "--omega-b", "3000",
+            "--n1", "1", "--truncation-m", "5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "determinant residual" in err and "|delta0| = 3050 Hz" in err
+    assert not (tmp_path / "eigen.csv").exists()
+
+
 def test_eigen_route_all(tmp_path):
     r = run_cli(
         "eigen", "--out", str(tmp_path), "--route", "all",

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floqept import (
     EngineError,
@@ -224,10 +226,16 @@ class TestLabFrameModel:
         assert np.array_equal(model.matrix(0.37e-3), expected)
 
     def test_fast_generator_matches(self, coupled_point):
+        # the generator is 2*pi*matrix(t) in the frame rotating with its Hermitian diagonal
         model = LabFrameModel(coupled_point)
-        gen = model.fast_generator()
+        gen = model.fast_generator([abs(coupled_point.delta0)])
         for t in (0.0, 0.7e-4, 3.1e-4):
-            assert np.allclose(gen(t).copy(), TWO_PI * model.matrix(t), atol=1e-12)
+            lab = TWO_PI * model.matrix(t)
+            cycles = np.array([coupled_point.delta0 * t, 0.0]) + model.drive_cycles(t)
+            frame = np.exp(-1j * TWO_PI * cycles)
+            moving = lab - np.diag(np.diag(lab).real)
+            want = frame.conj()[:, None] * moving * frame[None, :]
+            assert np.allclose(gen(t)[0], want, rtol=0.0, atol=1e-11)
 
 
 def _rotating_frame_state(model, s, t):
@@ -239,6 +247,25 @@ def _rotating_frame_state(model, s, t):
     return frame * np.exp(1j * TWO_PI * scalar) * s
 
 
+def _exact_monodromy(p):
+    """The exact one-period propagator: ``undamped_states`` times the decay."""
+    model = LabFrameModel(p)
+    period = model.period
+    mono = np.column_stack([model.undamped_states(e, [period])[0] for e in np.eye(2)])
+    return mono * math.exp(-TWO_PI * p.gamma12 * period)
+
+
+def _exact_quasienergies(p):
+    return 1j * np.log(np.linalg.eigvals(_exact_monodromy(p))) * p.omega_b / TWO_PI
+
+
+def _distance(a, b, omega_b):
+    """Largest circular (mod ``omega_b``) distance from each value of ``a`` to its nearest in ``b``."""
+    b = np.asarray(b)
+    folded = lambda v: (v.real - b.real + 0.5 * omega_b) % omega_b - 0.5 * omega_b
+    return max(float(np.min(np.hypot(folded(v), v.imag - b.imag))) for v in a)
+
+
 class TestUndampedStates:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -247,15 +274,54 @@ class TestUndampedStates:
         geff = effective_coupling(93.0, 4300.0, 3000.0, n, 0)
         p = ModelParams(delta0=sign * (n * 3000.0 + side * 2.0 * geff), gamma_c=93.0,
                         gamma12=20.0, delta_b=4300.0, omega_b=3000.0, n1=n, n2=0)
-        model = LabFrameModel(p)
-        period = model.period
-        mono = np.column_stack([model.undamped_states(e, [period])[0] for e in np.eye(2)])
-        mono *= math.exp(-TWO_PI * p.gamma12 * period)
-        exact = 1j * np.log(np.linalg.eigvals(mono)) / (TWO_PI * period)
         rk = monodromy_quasienergies(p, SimConfig(rel_tol=1e-10, abs_tol=1e-13))
-        for q in rk.values:
-            folded = (q.real - exact.real + 0.5 * p.omega_b) % p.omega_b - 0.5 * p.omega_b
-            assert np.min(np.hypot(folded, q.imag - exact.imag)) <= 1e-6
+        assert _distance(rk.values, _exact_quasienergies(p), p.omega_b) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_default_tolerance_within_1e8_hz(self, n, sign):
+        # the interaction frame leaves RK only the slow coupling, so the default
+        # tolerances land within 1e-8 Hz of the exact propagator on either side of the EP
+        geff = effective_coupling(93.0, 4300.0, 3000.0, n, 0)
+        p = ModelParams(delta0=sign * n * 3000.0, gamma_c=93.0, gamma12=20.0, delta_b=4300.0,
+                        omega_b=3000.0, n1=n, n2=0)
+        sweep = n * 3000.0 + 2.0 * geff * np.array([0.5, 1.5])
+        cfg = SimConfig()
+        for d, q in zip(sweep, monodromy_quasienergies(p, cfg, sweep)):
+            exact = _exact_quasienergies(p.at_detuning(d))
+            assert _distance(q.values, exact, p.omega_b) <= 1e-8
+            point = monodromy_quasienergies(p.at_detuning(d), cfg)
+            assert _distance(point.values, exact, p.omega_b) <= 1e-8
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        delta0=st.floats(-6000.0, 6000.0),
+        other=st.floats(0.0, 6000.0),
+        n=st.integers(0, 3),
+        gamma_c=st.floats(0.0, 300.0),
+        gamma12=st.floats(5.0, 120.0),
+        x=st.floats(0.0, 5.0),
+        omega_b=st.floats(800.0, 5000.0),
+    )
+    def test_batched_and_pointwise_match_exact(self, delta0, other, n, gamma_c, gamma12, x,
+                                               omega_b):
+        # Bauer-Fike: a relative error rel_tol in the monodromy M moves each
+        # nu = i*log(lam)*omega_b/(2 pi) by at most rel_tol * cond(eigenvectors)
+        # * |M| / |lam| * omega_b/(2 pi); the bound grows without limit at an EP
+        p = ModelParams(delta0=delta0, gamma_c=gamma_c, gamma12=gamma12, delta_b=x * omega_b,
+                        omega_b=omega_b, n1=n, n2=0)
+        cfg = SimConfig()
+        sweep = [abs(delta0), other]
+        for d, q in zip(sweep, monodromy_quasienergies(p, cfg, sweep)):
+            point = monodromy_quasienergies(p.at_detuning(d), cfg)
+            mono = _exact_monodromy(p.at_detuning(d))
+            lam, vecs = np.linalg.eig(mono)
+            exact = 1j * np.log(lam) * omega_b / TWO_PI
+            bound = (cfg.rel_tol * omega_b / TWO_PI * np.linalg.cond(vecs)
+                     * np.linalg.norm(mono, 2) / np.min(np.abs(lam)))
+            assert _distance(q.values, point.values, omega_b) <= bound
+            assert _distance(q.values, exact, omega_b) <= bound
+            assert _distance(point.values, exact, omega_b) <= bound
 
     def test_matches_integrator_over_twenty_periods(self, coupled_point):
         model = LabFrameModel(coupled_point)
@@ -263,7 +329,7 @@ class TestUndampedStates:
         ts = np.linspace(0.0, 20.0 * model.period, 201)
         states, s = [], s0
         for span in zip(ts[:-1], ts[1:]):  # chained spans, one per sample time
-            s = integrate_linear(model.fast_generator(), s, span,
+            s = integrate_linear(lambda t: TWO_PI * model.matrix(t), s, span,
                                  rel_tol=1e-10, abs_tol=1e-13).final_y
             states.append(s)
         ts = ts[1:]
@@ -404,7 +470,7 @@ class TestMonodromyBatch:
 
         def own_steps(d):
             model = LabFrameModel(p.at_detuning(d))
-            return integrate_linear(model.fast_generator(), np.eye(2, dtype=complex),
+            return integrate_linear(lambda t: TWO_PI * model.matrix(t), np.eye(2, dtype=complex),
                                     (0.0, model.period), rel_tol=cfg.rel_tol,
                                     abs_tol=cfg.abs_tol).n_steps
 
@@ -415,6 +481,14 @@ class TestMonodromyBatch:
             own = monodromy_quasienergies(p.at_detuning(d), cfg)
             error = lambda s: max(abs(a - b) for a, b in zip(s.values, exact.values))
             assert error(q) <= error(own)
+
+    def test_unresolved_decay_raises(self):
+        # the state falls below abs_tol within the period and the step control
+        # stops resolving the decay; the determinant identity catches it
+        p = ModelParams(delta0=-3050.0, gamma_c=93.0, gamma12=2e4, delta_b=4300.0,
+                        omega_b=3000.0, n1=1, n2=0)
+        with pytest.raises(EngineError, match="determinant residual .* at \\|delta0\\| = 3050 Hz"):
+            monodromy_quasienergies(p, SimConfig())
 
     def test_underflow_raises_in_a_batch(self):
         p = ModelParams(delta0=0.0, gamma_c=0.0, gamma12=200.0, delta_b=0.0, omega_b=1.0)

@@ -70,6 +70,13 @@ def test_deterministic_repeat():
     assert a.n_steps == b.n_steps
 
 
+def test_last_step_lands_on_the_span_end():
+    # t + (t1 - t) rounds one ulp short of t1 here; that sliver is no step to take
+    lam = -2j * math.pi * 16.125
+    traj = integrate_linear(lambda t: np.array([[lam]]), np.array([1.0 + 0j]), (0.0, 1.0 / 4245.0))
+    assert traj.final_y[0] == pytest.approx(np.exp(-1j * lam / 4245.0), rel=1e-9)
+
+
 def test_stiffness_error_raised():
     lam = 1e16
     with pytest.raises(StiffnessError):
