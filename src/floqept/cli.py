@@ -18,6 +18,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,7 +44,7 @@ from .engine import (
     monodromy_quasienergies,
     static_eigenvalues,
 )
-from .io import RunManifest, read_xy_csv, write_csv, write_json
+from .io import RunManifest, fmt, read_xy_csv, write_csv, write_json
 from .numerics.integrate import StiffnessError
 from .observables import beat_frequency, detect_peaks, separation_curve, synthesize_spectrum
 from .params import (
@@ -150,7 +151,7 @@ def _resolve(args) -> tuple[ModelParams, SimConfig]:
 def _run(args, argv: list) -> int:
     """Resolve and validate the parameters, run the command body, write its outputs.
 
-    A body returns ``(header, rows, summary)``; the runner writes
+    A body returns ``(header, columns, summary)``; the runner writes
     ``<name>.csv`` and ``<name>_summary.json`` (hyphens as underscores)
     and the ``<command>_manifest.json`` sidecar.  ``validate`` has no body:
     it prints the report and stops.
@@ -165,10 +166,10 @@ def _run(args, argv: list) -> int:
         raise SystemExit(_fail(EXIT_VALIDATION, f"invalid parameters:\n{report}"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header, rows, summary = args.body(args, params, cfg)
+    header, columns, summary = args.body(args, params, cfg)
     stem = args.command.replace("-", "_")
     csv_path = out / f"{stem}.csv"
-    write_csv(csv_path, header, rows)
+    write_csv(csv_path, header, columns)
     write_json(out / f"{stem}_summary.json", summary)
     manifest = RunManifest(
         subcommand=args.command,
@@ -184,7 +185,7 @@ def _run(args, argv: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: (args, params, cfg) -> (header, rows, summary)
+# command bodies: (args, params, cfg) -> (header, columns, summary)
 # ---------------------------------------------------------------------------
 
 
@@ -209,7 +210,7 @@ def _eigen(args, params, cfg):
             rows.append((d0_abs, route, nu_p.real, nu_p.imag, nu_m.real, nu_m.imag, tag))
     header = ["delta0_abs", "route", "re_nu_plus", "im_nu_plus", "re_nu_minus", "im_nu_minus",
               "phase_tag"]
-    return header, rows, {"rows": len(rows), "routes": list(routes)}
+    return header, list(zip(*rows)), {"rows": len(rows), "routes": list(routes)}
 
 
 def _spectrum(args, params, cfg):
@@ -225,8 +226,8 @@ def _spectrum(args, params, cfg):
             {"center_hz": p.center, "height": p.height, "fwhm_hz": p.fwhm, "sideband": p.sideband}
             for p in found
         ]
-    rows = zip(trace.grid, trace.powers[1], trace.powers[2])
-    return ["delta_hz", "power_ch1", "power_ch2"], rows, {"peaks": peaks, "probed": list(probed)}
+    columns = (trace.grid, trace.powers[1], trace.powers[2])
+    return ["delta_hz", "power_ch1", "power_ch2"], columns, {"peaks": peaks, "probed": list(probed)}
 
 
 def _separation(args, params, cfg):
@@ -234,14 +235,15 @@ def _separation(args, params, cfg):
     rows = [(p.delta0_abs, p.separation, p.merged, p.eigen_separation) for p in points]
     threshold = next((p.delta0_abs for p in points if not p.merged), None)
     summary = {"first_split_delta0_abs": threshold, "points": len(points)}
-    return ["delta0_abs", "separation_hz", "merged", "eigen_separation_hz"], rows, summary
+    header = ["delta0_abs", "separation_hz", "merged", "eigen_separation_hz"]
+    return header, list(zip(*rows)), summary
 
 
 def _beat(args, params, cfg):
     meas = beat_frequency(params, cfg)
     header = ["beat_hz", "amplitude", "confidence", "found"]
     row = (meas.frequency, meas.amplitude, meas.confidence, meas.found)
-    return header, [row], dict(zip(header, row), mismatch_hz=abs(params.mismatch))
+    return header, list(zip(row)), dict(zip(header, row), mismatch_hz=abs(params.mismatch))
 
 
 def _ep(args, params, cfg):
@@ -256,14 +258,14 @@ def _ep(args, params, cfg):
     header = ["route", "delta0_star_abs", "mu_star_hz", "gamma_eff_hz", "iterations"]
     row = (result.route, result.delta0_star, result.mismatch_star, result.gamma_eff,
            result.iterations)
-    return header, [row], dict(zip(header, row), bracket=list(result.bracket))
+    return header, list(zip(row)), dict(zip(header, row), bracket=list(result.bracket))
 
 
 def _gamma_curve(args, params, cfg):
     curve = gamma_curve(params, args.sweep_omega_b, cfg)
     if not curve.ok:
         raise SystemExit(_fail(EXIT_NUMERICAL, f"numerical failure: fit rejected: {curve.message}"))
-    rows = zip(curve.omega_b, curve.gamma_eff, curve.fitted())
+    columns = (curve.omega_b, curve.gamma_eff, curve.fitted())
     summary = {
         "gamma_c_fit_hz": curve.gamma_c_fit,
         "delta_b_fit_hz": curve.delta_b_fit,
@@ -271,7 +273,7 @@ def _gamma_curve(args, params, cfg):
         "ok": curve.ok,
         "message": curve.message,
     }
-    return ["omega_b_hz", "gamma_eff_hz", "gamma_eff_fit_hz"], rows, summary
+    return ["omega_b_hz", "gamma_eff_hz", "gamma_eff_fit_hz"], columns, summary
 
 
 def _fit(args, params, cfg):
@@ -292,20 +294,20 @@ def _fit(args, params, cfg):
         "converged": result.converged,
         "message": result.message,
     }
-    return header, [row], summary
+    return header, list(zip(row)), summary
 
 
 def _phase_diagram(args, params, cfg):
     d0s, ws = args.sweep_delta0, args.sweep_omega_b
     grid = phase_diagram(params, d0s, ws, args.n, resolution=args.resolution)
     names = ("unbroken", "ep-band", "broken")
-    rows = (
-        (d0, w, int(grid[i, j]), names[int(grid[i, j])])
-        for i, d0 in enumerate(d0s)
-        for j, w in enumerate(ws)
-    )
+    codes = [fmt(k) for k in range(len(names))]
+    phases = grid.ravel().tolist()  # row-major: delta0 outer, omega_b inner
+    # each axis value and each phase is formatted once; the cells repeat those strings
+    columns = ([cell for cell in map(fmt, d0s) for _ in ws], list(map(fmt, ws)) * len(d0s),
+               list(map(codes.__getitem__, phases)), list(map(names.__getitem__, phases)))
     counts = {names[k]: int(np.sum(grid == k)) for k in (0, 1, 2)}
-    return ["delta0_abs", "omega_b_hz", "phase", "phase_tag"], rows, {"cells": counts}
+    return ["delta0_abs", "omega_b_hz", "phase", "phase_tag"], columns, {"cells": counts}
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +357,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="floqept",
         description="Floquet dissipative coupling toolkit: eigenvalue branches, "

@@ -435,11 +435,18 @@ def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> Sideban
 
     Raises
     ------
+    ValueError
+        If ``cfg.truncation_m < ceil(delta_b/omega_b) + 3``, too few
+        sideband orders for the drive strength.
     SingularSteadyStateError
         If the system is singular (exact resonance with gamma12 = 0).
     """
     channel, delta, amplitude = probe
     mtrunc = cfg.truncation_m
+    need = math.ceil(params.modulation_index) + 3
+    if mtrunc < need:
+        raise ValueError(f"truncation_m = {mtrunc} too small for "
+                         f"delta_b/omega_b = {params.modulation_index:.3f}; need >= {need}")
     width = 2 * mtrunc + 1
     a = _hb_base_matrix(params, mtrunc)
     a[np.diag_indices_from(a)] += delta

@@ -124,10 +124,11 @@ class SimConfig:
 
     ``truncation_m`` is the number of Floquet sideband orders kept on each side
     (indices -M..+M) by the dense single-point harmonic-balance solve
-    (``engine.steady_state_response``), the reference for the spectra;
-    validation enforces ``truncation_m >= ceil(delta_b/omega_b) + 3``.  The
+    (``engine.steady_state_response``), the reference for the spectra; that
+    solve requires ``truncation_m >= ceil(delta_b/omega_b) + 3``.  The
     spectra themselves (``engine.steady_state_grid``) are the exact
-    untruncated solution and do not read it.
+    untruncated solution and do not read it, so :func:`validate` does not
+    check it.
     """
 
     truncation_m: int = 6
@@ -138,11 +139,6 @@ class SimConfig:
 
     def but(self, **changes) -> "SimConfig":
         return replace(self, **changes)
-
-
-def required_truncation(params: ModelParams) -> int:
-    """Smallest sideband truncation accepted for the given drive strength."""
-    return int(math.ceil(params.delta_b / params.omega_b)) + 3
 
 
 @dataclass(frozen=True)
@@ -169,7 +165,9 @@ def validate(params: ModelParams, cfg: SimConfig | None = None) -> ValidationRep
 
     Pure and idempotent: never mutates its inputs, never raises.  Any
     parameter set accepted here is accepted by every downstream operation
-    without further parameter errors.  Every float field must be finite.
+    without further parameter errors, except the dense reference solve
+    ``engine.steady_state_response``, which checks ``truncation_m`` itself:
+    nothing else reads it.  Every float field must be finite.
     """
     floats = {k: getattr(params, k) for k, typ in _PARAM_FIELDS.items() if typ is float}
     if cfg is not None:
@@ -190,15 +188,6 @@ def validate(params: ModelParams, cfg: SimConfig | None = None) -> ValidationRep
         bad.append("delta_b/omega_b exceeds 50, outside the supported Bessel range")
 
     if cfg is not None:
-        if cfg.truncation_m < 1:
-            bad.append("truncation_m must be >= 1")
-        elif params.omega_b > 0 and math.isfinite(params.modulation_index):
-            need = required_truncation(params)
-            if cfg.truncation_m < need:
-                bad.append(
-                    f"truncation_m = {cfg.truncation_m} too small for "
-                    f"delta_b/omega_b = {params.modulation_index:.3f}; need >= {need}"
-                )
         if cfg.grid.step <= 0:
             bad.append("grid step must be positive")
         if not cfg.grid.start < cfg.grid.stop:

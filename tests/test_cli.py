@@ -1,22 +1,58 @@
+"""The command line, run in this process through ``main(argv)``.
+
+A few tests run a fresh interpreter instead: ``python -m floqept``, the
+console entry point and one command for each exit code 2, 3 and 4.
+"""
+
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
+
+from floqept import GridSpec
+from floqept.cli import build_parser, main
+from floqept.engine import classify_phase, effective_coupling
 
 BASE = [sys.executable, "-m", "floqept"]
 
 
-def run_cli(*args, env=None):
-    import os
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
 
+
+def run_subprocess(*args, env=None, base=BASE):
     full_env = os.environ.copy()
     if env:
         full_env.update(env)
-    return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=full_env, timeout=300
-    )
+    r = subprocess.run(base + list(args), capture_output=True, text=True, env=full_env, timeout=300)
+    return Run(r.returncode, r.stdout, r.stderr)
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """``main(argv)`` in this process, with its exit code and captured output."""
+
+    def run(*args, env=None):
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            for key, value in (env or {}).items():
+                patch.setenv(key, value)
+            try:
+                code = main(list(args))
+            except SystemExit as exc:  # argparse errors and the runner's typed failures
+                code = 0 if exc.code is None else exc.code
+        out, err = capsys.readouterr()
+        return Run(code, out, err)
+
+    return run
 
 
 def read_csv(path):
@@ -26,13 +62,13 @@ def read_csv(path):
 
 
 def test_validate_ok(tmp_path):
-    r = run_cli("validate", "--out", str(tmp_path), "--delta0", "-3050", "--gamma-c", "93")
+    r = run_subprocess("validate", "--out", str(tmp_path), "--delta0", "-3050", "--gamma-c", "93")
     assert r.returncode == 0
     assert "valid" in r.stdout
 
 
 def test_validate_failure_exit_2(tmp_path):
-    r = run_cli("validate", "--out", str(tmp_path), "--omega-b", "0")
+    r = run_subprocess("validate", "--out", str(tmp_path), "--omega-b", "0")
     assert r.returncode == 2
 
 
@@ -41,7 +77,7 @@ def test_validate_failure_exit_2(tmp_path):
     ("validate", "--delta-b", "nan"),
     ("eigen", "--delta0", "nan", "--static"),
 ])
-def test_non_finite_input_exit_2_with_message(tmp_path, args):
+def test_non_finite_input_exit_2_with_message(tmp_path, args, run_cli):
     r = run_cli(*args, "--out", str(tmp_path))
     assert r.returncode == 2
     assert "must be finite" in r.stdout + r.stderr
@@ -49,12 +85,12 @@ def test_non_finite_input_exit_2_with_message(tmp_path, args):
     assert not (tmp_path / "eigen.csv").exists()
 
 
-def test_invalid_params_on_compute_commands_exit_2(tmp_path):
+def test_invalid_params_on_compute_commands_exit_2(tmp_path, run_cli):
     r = run_cli("eigen", "--out", str(tmp_path), "--omega-b", "0", "--static")
     assert r.returncode == 2
 
 
-def test_eigen_single_ep_row(tmp_path):
+def test_eigen_single_ep_row(tmp_path, run_cli):
     r = run_cli("eigen", "--out", str(tmp_path), "--delta0", "-186", "--gamma-c", "93", "--static")
     assert r.returncode == 0
     header, rows = read_csv(tmp_path / "eigen.csv")
@@ -67,7 +103,7 @@ def test_eigen_single_ep_row(tmp_path):
     assert (tmp_path / "eigen_manifest.json").exists()
 
 
-def test_eigen_sweep_row_count(tmp_path):
+def test_eigen_sweep_row_count(tmp_path, run_cli):
     r = run_cli(
         "eigen", "--out", str(tmp_path), "--sweep-delta0", "2900:3200:1",
         "--delta0", "-3000", "--gamma-c", "93", "--omega-b", "3000", "--n1", "1",
@@ -77,7 +113,7 @@ def test_eigen_sweep_row_count(tmp_path):
     assert len(rows) == 301
 
 
-def test_eigen_monodromy_matches_rwa_gap(tmp_path):
+def test_eigen_monodromy_matches_rwa_gap(tmp_path, run_cli):
     common = [
         "--delta0", "-3000", "--gamma-c", "93", "--omega-b", "3000", "--n1", "1",
         "--delta-b", "4300", "--gamma12", "20", "--truncation-m", "5",
@@ -101,7 +137,7 @@ EP_POINT = ["--delta0", "-3050", "--gamma-c", "93", "--gamma12", "20", "--delta-
             "--omega-b", "3000", "--n1", "1", "--truncation-m", "5"]
 
 
-def test_eigen_monodromy_unbroken_rows_list_slower_decay_first(tmp_path):
+def test_eigen_monodromy_unbroken_rows_list_slower_decay_first(tmp_path, run_cli):
     # in the anti-PT phase the real parts tie; integration noise must not order them
     r = run_cli("eigen", "--out", str(tmp_path), "--sweep-delta0", "2900:3200:1",
                 "--route", "monodromy", *EP_POINT)
@@ -112,7 +148,7 @@ def test_eigen_monodromy_unbroken_rows_list_slower_decay_first(tmp_path):
     assert [row[0] for row in unbroken if not float(row[3]) > float(row[5])] == []
 
 
-def test_ep_gamma_eff_off_closed_form_exit_2(tmp_path):
+def test_ep_gamma_eff_off_closed_form_exit_2(tmp_path, run_cli):
     r = run_cli("ep", "--out", str(tmp_path), "--route", "monodromy", "--n", "1", *EP_POINT,
                 "--gamma-eff", "30")
     assert r.returncode == 2
@@ -122,14 +158,14 @@ def test_ep_gamma_eff_off_closed_form_exit_2(tmp_path):
 
 @pytest.mark.parametrize("order", [("--n", "-1"), ("--n1", "0", "--n2", "1")],
                          ids=["n", "n1-n2"])
-def test_ep_negative_band_order_exit_2(tmp_path, order):
+def test_ep_negative_band_order_exit_2(tmp_path, order, run_cli):
     r = run_cli("ep", "--out", str(tmp_path), *EP_POINT, *order)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert not (tmp_path / "ep.csv").exists()
 
 
-def test_ep_lower_crossing_reports_positive_rate(tmp_path):
+def test_ep_lower_crossing_reports_positive_rate(tmp_path, run_cli):
     r = run_cli("ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1", *EP_POINT,
                 "--bracket", "2900:3000")
     assert r.returncode == 0, r.stderr
@@ -138,7 +174,7 @@ def test_ep_lower_crossing_reports_positive_rate(tmp_path):
     assert (row["mu_star_hz"], row["gamma_eff_hz"]) == ("55.8985714972", "27.9492857486")
 
 
-def test_spectrum_sidebands_and_determinism(tmp_path):
+def test_spectrum_sidebands_and_determinism(tmp_path, run_cli):
     args = [
         "spectrum", "--probe", "ch1", "--delta0", "0", "--gamma-c", "5",
         "--gamma12", "50", "--delta-b", "3000", "--omega-b", "3100",
@@ -156,7 +192,7 @@ def test_spectrum_sidebands_and_determinism(tmp_path):
         assert min(abs(c - m * 3100.0) for c in centers) < 15.0
 
 
-def test_beat_summary(tmp_path):
+def test_beat_summary(tmp_path, run_cli):
     r = run_cli(
         "beat", "--out", str(tmp_path), "--delta0", "-3050", "--gamma-c", "93",
         "--gamma12", "50", "--delta-b", "150", "--omega-b", "3000", "--n1", "1",
@@ -169,7 +205,7 @@ def test_beat_summary(tmp_path):
     assert abs(summary["beat_hz"] - 50.0) < 2.5
 
 
-def test_beat_overflow_exit_3_without_nan_csv(tmp_path):
+def test_beat_overflow_exit_3_without_nan_csv(tmp_path, run_cli):
     # |mismatch| = 0 < 2*Gamma_eff: the undamped states grow past float range
     r = run_cli(
         "beat", "--out", str(tmp_path), "--delta0", "-3000", "--gamma-c", "2000",
@@ -182,7 +218,7 @@ def test_beat_overflow_exit_3_without_nan_csv(tmp_path):
     assert not csv.exists() or "nan" not in csv.read_text().lower()
 
 
-def test_ep_closed_form(tmp_path):
+def test_ep_closed_form(tmp_path, run_cli):
     r = run_cli(
         "ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1",
         "--delta0", "-3050", "--gamma-c", "93", "--omega-b", "3000",
@@ -194,7 +230,7 @@ def test_ep_closed_form(tmp_path):
 
 
 def test_ep_bad_bracket_exit_3(tmp_path):
-    r = run_cli(
+    r = run_subprocess(
         "ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1",
         "--delta0", "-3050", "--gamma-c", "93", "--omega-b", "3000",
         "--delta-b", "4300", "--n1", "1", "--truncation-m", "5",
@@ -204,7 +240,7 @@ def test_ep_bad_bracket_exit_3(tmp_path):
 
 
 @pytest.mark.parametrize("bracket", ["nan:3100", "3100:3000", "1:2:3"])
-def test_ep_malformed_bracket_exit_2(tmp_path, bracket):
+def test_ep_malformed_bracket_exit_2(tmp_path, bracket, run_cli):
     r = run_cli(
         "ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1",
         "--delta0", "-3050", "--gamma-c", "93", "--omega-b", "3000",
@@ -227,7 +263,7 @@ def test_ep_malformed_bracket_exit_2(tmp_path, bracket):
     ("spectrum", "--grid=-6500:6500:-4"),
     ("gamma-curve", "--sweep-omega-b", "8000:2500:500"),
 ], ids=lambda args: " ".join(args))
-def test_malformed_sweep_exit_2(tmp_path, args):
+def test_malformed_sweep_exit_2(tmp_path, args, run_cli):
     r = run_cli(*args, "--out", str(tmp_path))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
@@ -249,14 +285,14 @@ SMALL_SPECTRUM = ("spectrum", "--probe", "ch1", "--grid=-100:100:4")
     SMALL_SPECTRUM + ("--amplitude", "0"),
     SMALL_SPECTRUM + ("--prominence-rel", "-1"),
 ], ids=lambda args: " ".join(args[:1] + args[-2:]))
-def test_malformed_float_option_exit_2(tmp_path, args):
+def test_malformed_float_option_exit_2(tmp_path, args, run_cli):
     r = run_cli(*args, "--out", str(tmp_path))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert not list(tmp_path.glob("*.csv"))
 
 
-def test_fit_non_finite_param_exit_2_without_manifest(tmp_path):
+def test_fit_non_finite_param_exit_2_without_manifest(tmp_path, run_cli):
     data = tmp_path / "heights.csv"
     data.write_text("omega_b,height\n1000,0.1\n2000,0.2\n4000,0.3\n")
     r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
@@ -267,14 +303,14 @@ def test_fit_non_finite_param_exit_2_without_manifest(tmp_path):
 
 
 def test_fit_missing_input_exit_4(tmp_path):
-    r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
+    r = run_subprocess("fit", "--out", str(tmp_path), "--model", "bessel-heights",
                 "--m", "1", "--input", str(tmp_path / "missing.csv"))
     assert r.returncode == 4
 
 
 @pytest.mark.parametrize("row", ["2500", "2500,nan", "2500,inf", "nan,0.2"],
                          ids=["short", "nan-height", "inf-height", "nan-omega-b"])
-def test_fit_bad_heights_row_exit_4(tmp_path, row):
+def test_fit_bad_heights_row_exit_4(tmp_path, row, run_cli):
     data = tmp_path / "heights.csv"
     data.write_text(f"omega_b,height\n1000,0.1\n{row}\n4000,0.3\n8000,0.2\n")
     r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
@@ -284,7 +320,7 @@ def test_fit_bad_heights_row_exit_4(tmp_path, row):
     assert not (tmp_path / "fit.csv").exists()
 
 
-def test_fit_negative_order_exit_2(tmp_path):
+def test_fit_negative_order_exit_2(tmp_path, run_cli):
     data = tmp_path / "heights.csv"
     data.write_text("omega_b,height\n1000,0.1\n2000,0.2\n4000,0.3\n")
     r = run_cli("fit", "--out", str(tmp_path), "--model", "bessel-heights",
@@ -294,7 +330,7 @@ def test_fit_negative_order_exit_2(tmp_path):
     assert not (tmp_path / "fit.csv").exists()
 
 
-def test_fit_roundtrip_from_csv(tmp_path):
+def test_fit_roundtrip_from_csv(tmp_path, run_cli):
     import math
 
     from floqept.numerics.bessel import bessel_j
@@ -312,7 +348,7 @@ def test_fit_roundtrip_from_csv(tmp_path):
     assert abs(abs(summary["k_hz"]) - 3000.0) / 3000.0 < 0.05
 
 
-def test_phase_diagram_counts(tmp_path):
+def test_phase_diagram_counts(tmp_path, run_cli):
     r = run_cli(
         "phase-diagram", "--out", str(tmp_path), "--sweep-delta0", "3040:3070:1",
         "--sweep-omega-b", "3000:3000:1", "--n", "1",
@@ -325,7 +361,7 @@ def test_phase_diagram_counts(tmp_path):
     assert "unbroken" in tags and "broken" in tags
 
 
-def test_phase_diagram_negative_band_order_exit_2(tmp_path):
+def test_phase_diagram_negative_band_order_exit_2(tmp_path, run_cli):
     r = run_cli(
         "phase-diagram", "--out", str(tmp_path), "--sweep-delta0", "2900:3200:50",
         "--sweep-omega-b", "3000:3000:1", "--n", "-1",
@@ -336,7 +372,7 @@ def test_phase_diagram_negative_band_order_exit_2(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_spectrum_uncoupled_transfer_has_no_peaks(tmp_path):
+def test_spectrum_uncoupled_transfer_has_no_peaks(tmp_path, run_cli):
     # with gamma_c = 0 nothing reaches channel 2 under a channel-1 probe
     r = run_cli(
         "spectrum", "--out", str(tmp_path), "--probe", "ch1", "--delta0", "0", "--gamma-c", "0",
@@ -350,26 +386,26 @@ def test_spectrum_uncoupled_transfer_has_no_peaks(tmp_path):
     assert all(float(row[2]) == 0.0 for row in rows)
 
 
-def test_malformed_config_exit_2(tmp_path):
+def test_malformed_config_exit_2(tmp_path, run_cli):
     conf = tmp_path / "broken.conf"
     conf.write_text("delta0 -3050\n")  # missing '='
     r = run_cli("eigen", "--out", str(tmp_path), "--static", "--config", str(conf))
     assert r.returncode == 2
 
 
-def test_unknown_config_key_exit_2(tmp_path):
+def test_unknown_config_key_exit_2(tmp_path, run_cli):
     conf = tmp_path / "typo.conf"
     conf.write_text("delta_zero = -3050\n")
     r = run_cli("eigen", "--out", str(tmp_path), "--static", "--config", str(conf))
     assert r.returncode == 2
 
 
-def test_single_point_grid_rejected(tmp_path):
+def test_single_point_grid_rejected(tmp_path, run_cli):
     r = run_cli("spectrum", "--out", str(tmp_path), "--grid", "0:0:1")
     assert r.returncode == 2
 
 
-def test_config_file_and_env_override(tmp_path):
+def test_config_file_and_env_override(tmp_path, run_cli):
     conf = tmp_path / "point.conf"
     conf.write_text("delta0 = -186\ngamma_c = 93\n")
     out1 = tmp_path / "o1"
@@ -386,7 +422,7 @@ def test_config_file_and_env_override(tmp_path):
     assert rows[0][6] == "broken"
 
 
-def test_manifest_reproduces_run(tmp_path):
+def test_manifest_reproduces_run(tmp_path, run_cli):
     out1 = tmp_path / "m1"
     r = run_cli("eigen", "--out", str(out1), "--static", "--delta0", "-186", "--gamma-c", "93")
     assert r.returncode == 0
@@ -404,15 +440,13 @@ def test_manifest_reproduces_run(tmp_path):
 
 
 def test_manifest_records_main_argv(tmp_path):
-    from floqept.cli import main
-
     argv = ["eigen", "--static", "--delta0", "-186", "--gamma-c", "93", "--out", str(tmp_path)]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "eigen_manifest.json").read_text())
     assert manifest["argv"] == argv
 
 
-def test_gamma_curve_smoke(tmp_path):
+def test_gamma_curve_smoke(tmp_path, run_cli):
     r = run_cli(
         "gamma-curve", "--out", str(tmp_path), "--sweep-omega-b", "2500:6500:2000",
         "--delta0", "-3000", "--gamma-c", "93", "--gamma12", "20",
@@ -429,8 +463,6 @@ def test_gamma_curve_smoke(tmp_path):
 
 
 def test_gamma_curve_rejected_fit_exit_3(tmp_path, capsys):
-    from floqept.cli import main
-
     # with no drive every extracted rate is 0 and the fit is rejected
     argv = ["gamma-curve", "--out", str(tmp_path), "--sweep-omega-b", "2500:8000:500",
             "--delta0", "-3000", "--gamma-c", "93", "--gamma12", "20", "--delta-b", "0",
@@ -444,8 +476,6 @@ def test_gamma_curve_rejected_fit_exit_3(tmp_path, capsys):
 
 
 def test_eigen_monodromy_unresolved_decay_exit_3(tmp_path, capsys):
-    from floqept.cli import main
-
     # the decay over one period falls far below abs_tol, so the integration loses it
     argv = ["eigen", "--out", str(tmp_path), "--route", "monodromy", "--delta0", "-3050",
             "--gamma-c", "93", "--gamma12", "1e5", "--delta-b", "4300", "--omega-b", "3000",
@@ -456,7 +486,7 @@ def test_eigen_monodromy_unresolved_decay_exit_3(tmp_path, capsys):
     assert not (tmp_path / "eigen.csv").exists()
 
 
-def test_eigen_route_all(tmp_path):
+def test_eigen_route_all(tmp_path, run_cli):
     r = run_cli(
         "eigen", "--out", str(tmp_path), "--route", "all",
         "--delta0", "-3050", "--gamma-c", "93", "--gamma12", "20",
@@ -467,7 +497,7 @@ def test_eigen_route_all(tmp_path):
     assert [row[1] for row in rows] == ["static", "rwa", "monodromy"]
 
 
-def test_separation_smoke(tmp_path):
+def test_separation_smoke(tmp_path, run_cli):
     r = run_cli(
         "separation", "--out", str(tmp_path), "--sweep-delta0", "3040:3070:10",
         "--delta0", "-3050", "--gamma-c", "93", "--gamma12", "20",
@@ -482,7 +512,7 @@ def test_separation_smoke(tmp_path):
     assert summary["first_split_delta0_abs"] == pytest.approx(3060.0, abs=10.0)
 
 
-def test_separation_parallel_jobs_deterministic(tmp_path):
+def test_separation_parallel_jobs_deterministic(tmp_path, run_cli):
     args = [
         "separation", "--sweep-delta0", "3040:3070:10",
         "--delta0", "-3050", "--gamma-c", "93", "--gamma12", "20",
@@ -497,7 +527,7 @@ def test_separation_parallel_jobs_deterministic(tmp_path):
     ).read_bytes()
 
 
-def test_fit_closure_on_pipeline_output(tmp_path):
+def test_fit_closure_on_pipeline_output(tmp_path, run_cli):
     # harvest heights through the simulation pipeline, export, fit via CLI
     import numpy as np
 
@@ -517,3 +547,79 @@ def test_fit_closure_on_pipeline_output(tmp_path):
     summary = json.loads((tmp_path / "fit_summary.json").read_text())
     assert summary["converged"]
     assert abs(abs(summary["k_hz"]) - 3000.0) / 3000.0 < 0.05
+
+
+def test_console_entry_point(tmp_path):
+    # run what the installed `floqept` script runs: the [project.scripts] target
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^floqept = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    script = f"import sys; from {module} import {func}; sys.exit({func}())"
+    r = run_subprocess("eigen", "--out", str(tmp_path), "--delta0", "-186", "--gamma-c", "93",
+                       "--static", base=[sys.executable, "-c", script])
+    assert r.returncode == 0, r.stderr
+    _, rows = read_csv(tmp_path / "eigen.csv")
+    assert rows[0][6] == "ep"
+
+
+def _run_record(out: Path) -> dict:
+    """What a run leaves in ``out``, less the manifest's wall clock and paths."""
+    if not out.exists():
+        return {}
+    record = {p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith("manifest.json")}
+    for p in out.glob("*_manifest.json"):
+        manifest = json.loads(p.read_text())
+        record[p.name] = [manifest[k] for k in ("subcommand", "params", "config")]
+    return record
+
+
+# consecutive argv that differ only in flags a leaked parser state would carry over
+PARSER_REUSE_ARGV = [
+    ("eigen", "--route", "all", *EP_POINT),
+    ("eigen", *EP_POINT),
+    ("ep", "--gamma-eff", "30", *EP_POINT),
+    ("ep", *EP_POINT),
+    ("eigen", "--sweep-delta0", "5:1:1"),
+    ("eigen", "--sweep-delta0", "2900:2910:5", *EP_POINT),
+]
+
+
+def test_shared_parser_matches_fresh_process(tmp_path, run_cli):
+    assert build_parser() is build_parser()
+    codes = []
+    for i, argv in enumerate(PARSER_REUSE_ARGV):
+        here, fresh = tmp_path / f"in-process-{i}", tmp_path / f"fresh-{i}"
+        r = run_cli(*argv, "--out", str(here))
+        f = run_subprocess(*argv, "--out", str(fresh))
+        assert r == f, argv
+        assert _run_record(here) == _run_record(fresh), argv
+        codes.append(r.returncode)
+    assert codes == [0, 0, 0, 0, 2, 0]
+
+
+def test_phase_diagram_cells_row_major(tmp_path, run_cli):
+    r = run_cli("phase-diagram", "--out", str(tmp_path), "--sweep-delta0", "2850:3150:1",
+                "--sweep-omega-b", "2800:3200:10", "--n", "1", "--gamma-c", "93",
+                "--delta-b", "4300", "--n1", "1")
+    assert r.returncode == 0, r.stderr
+    _, rows = read_csv(tmp_path / "phase_diagram.csv")
+    d0s, ws = GridSpec(2850.0, 3150.0, 1.0).points(), GridSpec(2800.0, 3200.0, 10.0).points()
+    assert len(rows) == d0s.size * ws.size == 301 * 41
+    assert [row[:2] for row in rows] == [[f"{d:.12g}", f"{w:.12g}"] for d in d0s for w in ws]
+    rates = np.array([effective_coupling(93.0, 4300.0, w, 1, 0) for w in ws])
+    want = classify_phase(np.abs(d0s[:, None] - ws[None, :]), 2.0 * rates,
+                          np.nextafter(1.0, -np.inf)).ravel()
+    assert set(want.tolist()) == {0, 1, 2}
+    assert [int(row[2]) for row in rows] == want.tolist()
+    names = ("unbroken", "ep-band", "broken")
+    assert [row[3] for row in rows] == [names[k] for k in want]
+
+
+def test_spectrum_does_not_validate_truncation_m(tmp_path, run_cli):
+    # the grid never reads truncation_m: the default 6 gives the same CSV as the old minimum 13
+    args = ("spectrum", "--probe", "ch1", "--delta0", "-3050", "--gamma-c", "93",
+            "--delta-b", "30000", "--omega-b", "3000", "--n1", "1")
+    r = run_cli(*args, "--out", str(tmp_path / "default"))
+    assert r.returncode == 0, r.stderr
+    assert run_cli(*args, "--truncation-m", "13", "--out", str(tmp_path / "m13")).returncode == 0
+    body = (tmp_path / "default" / "spectrum.csv").read_bytes()
+    assert body == (tmp_path / "m13" / "spectrum.csv").read_bytes()

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from floqept import GridSpec, ModelParams, SimConfig, validate
-from floqept.params import load_config_file, params_from_mapping, required_truncation
+from floqept.engine import steady_state_response
+from floqept.params import load_config_file, params_from_mapping
 
 
 def test_valid_point():
@@ -29,11 +30,12 @@ def test_zero_omega_b_flagged():
 
 
 def test_truncation_too_small_flagged():
+    # only the dense reference solve reads truncation_m, so it owns the rule
     p = ModelParams(delta0=-3050.0, gamma_c=93.0, omega_b=3000.0, delta_b=4300.0)
-    assert required_truncation(p) == 5  # ceil(4300/3000) + 3
-    report = validate(p, SimConfig(truncation_m=2))
-    assert not report.ok
-    assert any("truncation_m" in v for v in report.violations)
+    with pytest.raises(ValueError, match="truncation_m = 4 .* need >= 5"):  # ceil(4300/3000) + 3
+        steady_state_response(p, SimConfig(truncation_m=4), (1, -3050.0, 1.0))
+    assert steady_state_response(p, SimConfig(truncation_m=5), (1, -3050.0, 1.0)).residual <= 1e-10
+    assert validate(p, SimConfig(truncation_m=2)).ok
 
 
 def test_negative_rates_flagged():

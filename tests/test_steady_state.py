@@ -54,7 +54,7 @@ def test_solver_residual_reported_small(coupled_point, base_cfg):
 
 def test_singular_system_raises():
     p = ModelParams(delta0=0.0, gamma_c=0.0, gamma12=0.0, delta_b=0.0, omega_b=3000.0)
-    cfg = SimConfig(truncation_m=2)
+    cfg = SimConfig(truncation_m=3)  # the least the dense solve accepts: ceil(0) + 3
     with pytest.raises(SingularSteadyStateError):
         steady_state_response(p, cfg, (1, 0.0, 1.0))
 
