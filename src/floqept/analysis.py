@@ -1,7 +1,8 @@
-"""High-level experiment reproductions: exceptional-point location (exact
-root, bisection or the transfer poles of the spectrum), coupling-rate
-reconstruction over the drive frequency, Bessel-weight fits of sideband
-heights, and the phase diagram.
+"""High-level experiment reproductions: exceptional-point location (the
+exact root at a rate read from the model, the monodromy quasi-energies or
+the transfer poles of the spectrum), coupling-rate reconstruction over the
+drive frequency, Bessel-weight fits of sideband heights, and the phase
+diagram.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .engine import (
     classify_phase,
     coupling_rate,
     effective_coupling,
-    is_split,
     monodromy_quasienergies,
+    quasienergy_gap,
     steady_state_grid,
 )
 from .numerics.bessel import bessel_j
@@ -40,7 +41,6 @@ __all__ = [
 
 ROUTES = ("closed-form", "monodromy", "spectral-pipeline")
 
-BISECTION_TOL = 0.5  # Hz: the monodromy route bisects until its bracket is narrower
 SIDEBAND_WINDOW = 250.0  # Hz each side of a sideband in harvest_sideband_heights
 MAX_MODULATION_INDEX = 12.0  # upper end of the solve_modulation_depth scan
 
@@ -131,50 +131,47 @@ def _pole_rate(params: ModelParams, cfg: SimConfig) -> float:
 
 def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
                 gamma_eff_override: float | None) -> float:
-    """``|Gamma|`` of the closed-form or spectral route.
+    """``|Gamma|`` as the route reads it.
 
-    The closed form uses the prescribed rate, else the model's.  The
-    spectral route averages :func:`_pole_rate` over the split-side points
-    ``mu = +-(1.5, 2, 3) * max(2*Gamma_eff, grid step)``.
+    The closed form uses the prescribed rate, else the model's.  The other
+    routes read ``Gamma`` at the split-side points ``mu = +-(1.5, 2, 3) *
+    scale``, ``scale = max(2*Gamma_eff, grid step)``, and average the six
+    reads.  The spectral route reads each by :func:`_pole_rate`.  The
+    monodromy route reads the quasi-energy difference ``dnu`` of one batched
+    integration: in the frame rotating at ``n_s*omega_b/2`` the generator is
+    constant, so ``(dnu/2)^2 = mu^2/4 - Gamma^2`` exactly.  ``Re dnu`` is
+    the folded gap, nonzero in the broken phase, and ``Im dnu`` the decay
+    split, nonzero in the unbroken phase.  The monodromy scale is capped at
+    ``omega_b/7``: then ``|mu| < omega_b/2``, and the broken-phase gap
+    ``sqrt(mu^2 - 4*Gamma^2) < |mu|`` cannot alias when folded.
     """
     if route == "closed-form":
         return abs(coupling_rate(params) if gamma_eff_override is None else gamma_eff_override)
     scale = max(2.0 * coupling_rate(params), cfg.grid.step)
+    if route == "monodromy":
+        scale = min(scale, params.omega_b / 7.0)
     mus = np.array([1.5, 2.0, 3.0, -1.5, -2.0, -3.0]) * scale
     center = params.n * params.omega_b
-    return float(np.mean([_pole_rate(params.at_detuning(center + m), cfg) for m in mus]))
-
-
-def _midpoints(lo: float, hi: float, tol: float, levels: int) -> list[float]:
-    """Every midpoint the bisection can visit in its next ``levels`` steps from ``[lo, hi]``.
-
-    The same ``0.5*(lo + hi)`` recursion and ``hi - lo > tol`` stop as the
-    bisection loop, so the loop finds each midpoint it reaches here.
-    """
-    if levels == 0 or not hi - lo > tol:
-        return []
-    mid = 0.5 * (lo + hi)
-    return [mid] + _midpoints(lo, mid, tol, levels - 1) + _midpoints(mid, hi, tol, levels - 1)
+    if route == "spectral-pipeline":
+        return float(np.mean([_pole_rate(params.at_detuning(center + m), cfg) for m in mus]))
+    dnu2 = np.array([quasienergy_gap(q) ** 2 - (q.values[0].imag - q.values[1].imag) ** 2
+                     for q in monodromy_quasienergies(params, cfg, center + mus)])
+    return float(np.mean(0.5 * np.sqrt(np.maximum(mus * mus - dnu2, 0.0))))
 
 
 def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
               bracket=None, gamma_eff: float | None = None) -> EpResult:
     """Locate the symmetry-breaking threshold of band order n on ``|delta0|``.
 
-    The bifurcation indicator depends on the route: ``| |delta0| - n*omega_b |
-    > 2*|Gamma|`` for the closed-form and spectral routes, the folded
-    quasi-energy real-part gap crossing 1 Hz for monodromy.  The closed form
-    takes the exact ``Gamma_eff``; the spectral route reads ``Gamma`` from
-    six spectra by :func:`_route_rate`, once per call.  The indicator must
-    differ at the two ends of the bracket, by default ``[n*omega_b,
-    n*omega_b + 10*gamma_c]``.  The closed-form and spectral routes then
-    return ``n*omega_b + 2*|Gamma|`` (``-`` when the bracket holds the lower
-    crossing) with ``iterations = 0`` and the bracket collapsed onto it.
-    The monodromy route bisects until the bracket is narrower than
-    :data:`BISECTION_TOL` (0.5 Hz) and reports its midpoint; it evaluates
-    both bracket ends, then the midpoints of the next four bisection
-    levels, in one batched integration each.  The reported rate is
-    ``|mu*|/2`` at either crossing.
+    Every route reads a rate ``|Gamma|`` by :func:`_route_rate`, once per
+    call: the closed form takes the exact ``Gamma_eff``, the monodromy route
+    reads it from the quasi-energies of one batched integration and the
+    spectral route from six spectra.  The indicator ``| |delta0| -
+    n*omega_b | > 2*|Gamma|`` must differ at the two ends of the bracket, by
+    default ``[n*omega_b, n*omega_b + 10*gamma_c]``.  The result is the
+    exact root ``n*omega_b + 2*|Gamma|`` (``-`` when the bracket holds the
+    lower crossing), with ``iterations = 0`` and the bracket collapsed onto
+    it.  The reported rate is ``|mu*|/2`` at either crossing.
 
     ``gamma_eff`` overrides the Bessel-product coupling rate for the
     closed-form route (used when the rate is prescribed rather than derived
@@ -204,46 +201,23 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
         lo, hi = float(bracket[0]), float(bracket[1])
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"bracket must be finite with lo < hi, got [{lo:g}, {hi:g}]")
-    if route == "monodromy":
-        rate = None
-
-        def split(d0_abs):
-            return np.array([is_split(q) for q in monodromy_quasienergies(params, cfg, d0_abs)])
-    elif route in ROUTES:
-        rate = _route_rate(params, cfg, route, gamma_eff)
-
-        def split(d0_abs):
-            return np.abs(d0_abs - n * params.omega_b) > 2.0 * rate
-    else:
+    if route not in ROUTES:
         raise ValueError(f"unknown route {route!r}; expected one of {ROUTES}")
-    split_lo, split_hi = split(np.array([lo, hi]))
+    rate = _route_rate(params, cfg, route, gamma_eff)
+    split_lo, split_hi = (abs(d - n * params.omega_b) > 2.0 * rate for d in (lo, hi))
     if split_lo == split_hi:
         raise BracketError(
             f"no bifurcation in bracket [{lo:g}, {hi:g}] Hz via {route}: "
             f"indicator is {'split' if split_lo else 'merged'} at both ends"
         )
-    if rate is not None:
-        # a bracket that starts split holds the lower crossing
-        lo = hi = n * params.omega_b + (-2.0 if split_lo else 2.0) * rate
-    iterations = 0
-    while hi - lo > BISECTION_TOL:
-        # one batched RK run serves the 2^4 - 1 midpoints of the next four levels
-        mids = _midpoints(lo, hi, BISECTION_TOL, 4)
-        split_at = dict(zip(mids, split(np.array(mids))))
-        while (mid := 0.5 * (lo + hi)) in split_at:
-            if split_at[mid] == split_lo:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-    star = 0.5 * (lo + hi)
-    mu_star = star - n * params.omega_b
+    # a bracket that starts split holds the lower crossing
+    star = n * params.omega_b + (-2.0 if split_lo else 2.0) * rate
     return EpResult(
         delta0_star=star,
-        gamma_eff=0.5 * abs(mu_star),
+        gamma_eff=0.5 * abs(star - n * params.omega_b),
         route=route,
-        bracket=(lo, hi),
-        iterations=iterations,
+        bracket=(star, star),
+        iterations=0,
     )
 
 

@@ -13,6 +13,8 @@ import math
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .params import ModelParams, SimConfig
 
 __all__ = [
@@ -28,8 +30,8 @@ SCHEMA_VERSION = 1
 
 
 def fmt(value) -> str:
-    """One CSV cell: floats at 12 significant digits, '.' separator."""
-    if isinstance(value, bool):
+    """One CSV cell: floats at 12 significant digits, '.' separator, booleans 1/0."""
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, float):
         return f"{value:.12g}"

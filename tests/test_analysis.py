@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -18,7 +16,6 @@ from floqept import (
     phase_diagram,
     solve_modulation_depth,
 )
-from floqept.engine import is_split
 from floqept.numerics.bessel import bessel_j
 
 
@@ -31,24 +28,6 @@ def floquet_template():
 @pytest.fixture
 def ep_cfg():
     return SimConfig(truncation_m=5, grid=GridSpec(-4000.0, 1000.0, 2.0))
-
-
-def _pointwise_monodromy_bisection(params, cfg, lo, hi, tol=0.5):
-    """Reference bisection with one monodromy integration per point."""
-    def split(d0_abs):
-        return is_split(monodromy_quasienergies(params.at_detuning(d0_abs), cfg))
-
-    split_lo = split(lo)
-    assert split_lo != split(hi)
-    iterations = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if split(mid) == split_lo:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return 0.5 * (lo + hi), (lo, hi), iterations
 
 
 def _spectral_ep_cases():
@@ -106,7 +85,7 @@ class TestLocateEp:
         for route in ("closed-form", "monodromy", "spectral-pipeline"):
             mu_stars[route] = locate_ep(floquet_template, 1, route, ep_cfg).mismatch_star
         resolution = max(2.0, 2 * ep_cfg.grid.step, 0.2 * 2 * floquet_template.gamma12)
-        assert abs(mu_stars["monodromy"] - mu_stars["closed-form"]) <= 2.0
+        assert abs(mu_stars["monodromy"] - mu_stars["closed-form"]) <= 1e-6
         assert abs(mu_stars["spectral-pipeline"] - mu_stars["closed-form"]) <= resolution
 
     def test_monodromy_route_higher_band_orders(self, ep_cfg):
@@ -116,7 +95,7 @@ class TestLocateEp:
             p = ModelParams(delta0=-(n * w + 50.0), gamma_c=300.0, gamma12=25.0,
                             delta_b=db, omega_b=w, n1=n, n2=0)
             r = locate_ep(p, n, "monodromy", ep_cfg)
-            assert r.mismatch_star == pytest.approx(2.0 * target, abs=2.0)
+            assert r.mismatch_star == pytest.approx(2.0 * target, abs=1e-6)
 
     def test_bad_bracket_raises(self, floquet_template, ep_cfg):
         with pytest.raises(BracketError):
@@ -160,9 +139,29 @@ class TestLocateEp:
         assert r.delta0_star == floquet_template.omega_b + 60.0
         assert r.gamma_eff == 30.0
 
-    @pytest.mark.parametrize("bracket", [None, (2999.3, 3517.1), (2900.0, 3000.0)])
-    def test_monodromy_matches_pointwise_bisection(self, floquet_template, ep_cfg, bracket,
-                                                   monkeypatch):
+    @pytest.mark.parametrize("route,case", [
+        *(pytest.param("spectral-pipeline", c, id=c) for c in SPECTRAL_EP_CASES),
+        *(pytest.param("monodromy", c, id=f"monodromy-{c}") for c in SPECTRAL_EP_CASES),
+    ])
+    def test_spectral_route_within_1hz(self, route, case):
+        # the transfer poles give Gamma with no linewidth bias: within 0.05 Hz, also
+        # where Gamma_eff > gamma12 and where the coupled block has no channel-1 weight;
+        # the monodromy quasi-energies give it exactly, up to the integration error
+        p, n, cfg, bracket = SPECTRAL_EP_CASES[case]
+        r = locate_ep(p, n, route, cfg, bracket=bracket)
+        bound = {"spectral-pipeline": 0.05, "monodromy": 1e-6}[route]
+        assert abs(r.mismatch_star - 2.0 * coupling_rate(p)) <= bound
+        assert r.iterations == 0 and r.bracket == (r.delta0_star, r.delta0_star)
+
+    @pytest.mark.parametrize("gamma_c", [800.0, 1500.0, 2500.0])
+    def test_monodromy_route_strong_coupling(self, floquet_template, ep_cfg, gamma_c):
+        # 2*Gamma_eff = 481, 902 and 1503 Hz against omega_b = 3000 Hz: the read-out
+        # points stay inside |mu| < omega_b/2, where the folded gap cannot alias
+        p = floquet_template.but(gamma_c=gamma_c)
+        r = locate_ep(p, 1, "monodromy", ep_cfg)
+        assert abs(r.mismatch_star - 2.0 * coupling_rate(p)) <= 1e-6
+
+    def test_monodromy_route_one_integration(self, floquet_template, ep_cfg, monkeypatch):
         integrations = []
 
         def counted(*args):
@@ -170,22 +169,19 @@ class TestLocateEp:
             return monodromy_quasienergies(*args)
 
         monkeypatch.setattr(analysis, "monodromy_quasienergies", counted)
-        r = locate_ep(floquet_template, 1, "monodromy", ep_cfg, bracket=bracket)
-        lo, hi = bracket or (3000.0, 3930.0)
-        star, final, iterations = _pointwise_monodromy_bisection(floquet_template, ep_cfg, lo, hi)
-        assert (r.delta0_star, r.bracket, r.iterations) == (star, final, iterations)
-        # both ends in one integration, then one per four bisection levels
-        assert len(integrations) == 1 + math.ceil(iterations / 4)
-        assert r.gamma_eff == 0.5 * abs(star - floquet_template.omega_b)
+        locate_ep(floquet_template, 1, "monodromy", ep_cfg)
+        assert len(integrations) == 1
+        assert len(integrations[0][2]) == 6
 
-    @pytest.mark.parametrize("case", SPECTRAL_EP_CASES)
-    def test_spectral_route_within_1hz(self, case):
-        # the transfer poles give Gamma with no linewidth bias: within 0.05 Hz, also
-        # where Gamma_eff > gamma12 and where the coupled block has no channel-1 weight
-        p, n, cfg, bracket = SPECTRAL_EP_CASES[case]
-        r = locate_ep(p, n, "spectral-pipeline", cfg, bracket=bracket)
-        assert abs(r.mismatch_star - 2.0 * coupling_rate(p)) <= 0.05
-        assert r.iterations == 0 and r.bracket == (r.delta0_star, r.delta0_star)
+    def test_monodromy_route_lower_crossing(self, floquet_template, ep_cfg):
+        r = locate_ep(floquet_template, 1, "monodromy", ep_cfg, bracket=(2900.0, 3000.0))
+        rate = coupling_rate(floquet_template)
+        assert r.delta0_star == pytest.approx(floquet_template.omega_b - 2.0 * rate, abs=1e-6)
+        assert r.gamma_eff == pytest.approx(rate, abs=1e-6)
+
+    def test_monodromy_route_zero_coupling(self, floquet_template, ep_cfg):
+        r = locate_ep(floquet_template.but(gamma_c=0.0), 1, "monodromy", ep_cfg)
+        assert r.mismatch_star <= 1e-5
 
     def test_spectral_route_zero_coupling(self, floquet_template, ep_cfg):
         # with gamma_c = 0 the transfer is identically zero and the rate reads 0

@@ -229,6 +229,18 @@ def test_ep_closed_form(tmp_path, run_cli):
     assert abs(summary["delta0_star_abs"] - 3055.9) < 1.0
 
 
+def test_ep_monodromy_matches_closed_form(tmp_path, run_cli):
+    summaries = {}
+    for route in ("closed-form", "monodromy"):
+        r = run_cli("ep", "--out", str(tmp_path / route), "--route", route, "--n", "1", *EP_POINT)
+        assert r.returncode == 0, r.stderr
+        summaries[route] = json.loads((tmp_path / route / "ep_summary.json").read_text())
+    mono = summaries["monodromy"]
+    star = mono["delta0_star_abs"]
+    assert mono["iterations"] == 0 and mono["bracket"] == [star, star]
+    assert abs(mono["mu_star_hz"] - summaries["closed-form"]["mu_star_hz"]) <= 1e-6
+
+
 def test_ep_bad_bracket_exit_3(tmp_path):
     r = run_subprocess(
         "ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1",

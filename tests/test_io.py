@@ -59,12 +59,12 @@ def test_str_column_passes_through(tmp_path, monkeypatch):
 
 
 def test_numpy_bool_cells_keep_the_fmt_rule(tmp_path):
-    # fmt writes a python bool as 1/0 but a numpy bool as True/False; a
-    # .tolist() conversion would turn the latter into 1/0 and change the bytes
+    # a numpy bool is written as a python bool is, 1/0, so a vectorised flag
+    # column gives the same bytes as a list of python bools
     assert (fmt(True), fmt(False)) == ("1", "0")
-    assert (fmt(np.bool_(True)), fmt(np.bool_(False))) == ("True", "False")
+    assert (fmt(np.bool_(True)), fmt(np.bool_(False))) == ("1", "0")
     body = _written(tmp_path, ["np", "py"], [np.array([True, False]), [True, False]])
-    assert body == b"np,py\nTrue,1\nFalse,0\n"
+    assert body == b"np,py\n1,1\n0,0\n"
 
 
 @pytest.mark.parametrize("argv, csv, column", [
