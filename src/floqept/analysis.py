@@ -18,7 +18,7 @@ from .engine import (
     coupling_rate,
     effective_coupling,
     monodromy_quasienergies,
-    quasienergy_gap,
+    quasienergy_rate,
     steady_state_grid,
 )
 from .numerics.bessel import bessel_j
@@ -70,10 +70,14 @@ class EpResult:
 
 @dataclass
 class GammaCurve:
-    """EP-extracted coupling rate versus drive frequency, with its fit."""
+    """EP-extracted coupling rate versus drive frequency, with its fit.
+
+    ``pair`` is the band pair ``(n1, n2)`` of the fitted family.
+    """
 
     omega_b: np.ndarray
     gamma_eff: np.ndarray
+    pair: tuple
     gamma_c_fit: float
     delta_b_fit: float
     residual_norm: float
@@ -82,7 +86,7 @@ class GammaCurve:
 
     def fitted(self) -> np.ndarray:
         """The fitted curve at each drive frequency of :attr:`omega_b`."""
-        return _rate_curve(self.gamma_c_fit, self.delta_b_fit, self.omega_b)
+        return _rate_curve(self.gamma_c_fit, self.delta_b_fit, self.omega_b, self.pair)
 
     def residuals(self) -> np.ndarray:
         """Per-point misfit of the extracted rates against the fitted curve."""
@@ -91,9 +95,35 @@ class GammaCurve:
         return self.gamma_eff - self.fitted()
 
 
-def _rate_curve(gamma_c: float, delta_b: float, omegas) -> np.ndarray:
-    """The fitted family ``gamma_c * |J0(delta_b/w) J1(delta_b/w)|`` at each ``w``."""
-    return np.array([effective_coupling(gamma_c, delta_b, w, 1, 0) for w in omegas])
+def _rate_curve(gamma_c: float, delta_b: float, omegas, pair) -> np.ndarray:
+    """The fitted family ``gamma_c * |J_n1(delta_b/w) J_n2(delta_b/w)|`` at each ``w``."""
+    return np.array([effective_coupling(gamma_c, delta_b, w, *pair) for w in omegas])
+
+
+def _first_peak(pair) -> tuple[float, float]:
+    """``(x, |J_n1(x) J_n2(x)|)`` at the first maximum.
+
+    The scan in steps of 0.05 stops at the first decrease; the vertex of
+    the parabola through the last three samples refines the maximum.  A
+    maximum at ``x = 0`` (the pair ``(0, 0)``), where the family is flat,
+    gives the first sample instead.
+    """
+    def weight(x):
+        return band_pair_coupling(1.0, x, *pair)
+
+    step = 0.05
+    behind, x, peak = weight(0.0), step, weight(step)
+    while (ahead := weight(x + step)) > peak:
+        behind, x, peak = peak, x + step, ahead
+    if behind >= peak:
+        return x, peak
+    curve = behind - 2.0 * peak + ahead
+    return x + 0.5 * step * (behind - ahead) / curve, peak - 0.125 * (behind - ahead) ** 2 / curve
+
+
+def _band(params: ModelParams, n: int) -> ModelParams:
+    """The model at band order ``n``: its declared pair if ``n == params.n``, else ``(n, 0)``."""
+    return params if n == params.n else params.but(n1=n, n2=0)
 
 
 def _pole_rate(params: ModelParams, cfg: SimConfig) -> float:
@@ -136,14 +166,10 @@ def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
     The closed form uses the prescribed rate, else the model's.  The other
     routes read ``Gamma`` at the split-side points ``mu = +-(1.5, 2, 3) *
     scale``, ``scale = max(2*Gamma_eff, grid step)``, and average the six
-    reads.  The spectral route reads each by :func:`_pole_rate`.  The
-    monodromy route reads the quasi-energy difference ``dnu`` of one batched
-    integration: in the frame rotating at ``n_s*omega_b/2`` the generator is
-    constant, so ``(dnu/2)^2 = mu^2/4 - Gamma^2`` exactly.  ``Re dnu`` is
-    the folded gap, nonzero in the broken phase, and ``Im dnu`` the decay
-    split, nonzero in the unbroken phase.  The monodromy scale is capped at
-    ``omega_b/7``: then ``|mu| < omega_b/2``, and the broken-phase gap
-    ``sqrt(mu^2 - 4*Gamma^2) < |mu|`` cannot alias when folded.
+    reads.  The spectral route reads each by :func:`_pole_rate`, the
+    monodromy route by :func:`quasienergy_rate` from one batched
+    integration.  The monodromy scale is capped at ``omega_b/7``: then
+    ``|mu| < omega_b/2``, and the folded gap cannot alias.
     """
     if route == "closed-form":
         return abs(coupling_rate(params) if gamma_eff_override is None else gamma_eff_override)
@@ -154,9 +180,8 @@ def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
     center = params.n * params.omega_b
     if route == "spectral-pipeline":
         return float(np.mean([_pole_rate(params.at_detuning(center + m), cfg) for m in mus]))
-    dnu2 = np.array([quasienergy_gap(q) ** 2 - (q.values[0].imag - q.values[1].imag) ** 2
-                     for q in monodromy_quasienergies(params, cfg, center + mus)])
-    return float(np.mean(0.5 * np.sqrt(np.maximum(mus * mus - dnu2, 0.0))))
+    sets = monodromy_quasienergies(params, cfg, center + mus)
+    return float(np.mean([quasienergy_rate(q, m) for q, m in zip(sets, mus)]))
 
 
 def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
@@ -189,8 +214,8 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
     """
     if gamma_eff is not None and route != "closed-form":
         raise ValueError(f"a prescribed gamma_eff applies to the closed-form route only, not {route!r}")
-    if n is not None and n != params.n:
-        params = params.but(n1=n, n2=0)
+    if n is not None:
+        params = _band(params, n)
     n = params.n
     if n < 0:
         raise ValueError(f"band order n must be >= 0, got {n}")
@@ -223,34 +248,38 @@ def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
 
 def gamma_curve(params: ModelParams, omega_b_grid, cfg: SimConfig,
                 route: str = "spectral-pipeline") -> GammaCurve:
-    """EP-extracted ``Gamma_eff(omega_b)`` and its ``|J0*J1|`` curve fit.
+    """EP-extracted ``Gamma_eff(omega_b)`` and its ``|J_n1*J_n2|`` curve fit.
 
-    For each drive frequency the EP is located (spectral pipeline by
-    default), ``mu*/2`` recorded, and the family
-    ``gamma_c * |J0(delta_b/w) J1(delta_b/w)|`` fitted over
-    ``(gamma_c, delta_b)``.  The fit is rejected with a diagnostic when the
+    For each drive frequency the EP of the declared band pair is located
+    (spectral pipeline by default), ``mu*/2`` recorded, and the family
+    ``gamma_c * |J_n1(delta_b/w) J_n2(delta_b/w)|`` fitted over
+    ``(gamma_c, delta_b)``, from the first maximum of ``|J_n1*J_n2|`` placed
+    at the largest rate.  The fit is rejected with a diagnostic when the
     extracted rates are all consistent with zero.
     """
     omegas = np.asarray(omega_b_grid, dtype=float)
+    pair = (params.n1, params.n2)
     rates = np.empty(omegas.size)
     for i, w in enumerate(omegas):
         p = params.but(omega_b=w)
         rates[i] = locate_ep(p, p.n, route, cfg).gamma_eff
 
     if rates.max() < 1.0:
-        return GammaCurve(omegas, rates, math.nan, math.nan, math.nan,
+        return GammaCurve(omegas, rates, pair, math.nan, math.nan, math.nan,
                           ok=False, message="all extracted rates consistent with zero; nothing to fit")
 
     def model(p, w):
-        return _rate_curve(abs(p[0]), p[1], w)
+        return _rate_curve(abs(p[0]), p[1], w, pair)
 
     i_max = int(np.argmax(rates))
-    p0 = np.array([rates[i_max] / 0.3386, 1.0819 * omegas[i_max]])
+    x_peak, peak = _first_peak(pair)
+    p0 = np.array([rates[i_max] / peak, x_peak * omegas[i_max]])
     fit = lm_fit(model, omegas, rates, p0)
     gc_fit, db_fit = abs(fit.parameters[0]), abs(fit.parameters[1])
     return GammaCurve(
         omega_b=omegas,
         gamma_eff=rates,
+        pair=pair,
         gamma_c_fit=float(gc_fit),
         delta_b_fit=float(db_fit),
         residual_norm=fit.residual_norm,
@@ -329,12 +358,14 @@ def phase_diagram(params: ModelParams, delta0_abs_grid, omega_b_grid, n: int,
     Returns an integer array of shape ``(len(delta0_grid), len(omega_b_grid))``
     with 0 = unbroken, 1 = EP band (``|mu - 2*Gamma_eff| < resolution``),
     2 = broken.  Classification uses the closed-form discriminant with the
-    band-pair coupling rate; it is invariant under the rigid decay shift
-    and the common Stark offset by construction.
+    coupling rate of the band pair :func:`_band` picks; it is invariant under
+    the rigid decay shift and the common Stark offset by construction.
     """
     d0s = np.asarray(delta0_abs_grid, dtype=float)
     ws = np.asarray(omega_b_grid, dtype=float)
-    geff = np.array([effective_coupling(params.gamma_c, params.delta_b, w, n, 0) for w in ws])
+    band = _band(params, n)
+    geff = np.array([effective_coupling(params.gamma_c, params.delta_b, w, band.n1, band.n2)
+                     for w in ws])
     mu_abs = np.abs(d0s[:, None] - n * ws[None, :])
     # the EP band is strict: |mu - 2*Gamma_eff| < resolution
     return classify_phase(mu_abs, 2.0 * geff, np.nextafter(resolution, -np.inf))

@@ -40,8 +40,9 @@ from .engine import (
     EngineError,
     coupling_rate,
     floquet_eigenvalues,
-    is_split,
     monodromy_quasienergies,
+    phase_tag,
+    quasienergy_rate,
     static_eigenvalues,
 )
 from .io import RunManifest, fmt, read_xy_csv, write_csv, write_json
@@ -201,7 +202,7 @@ def _eigen(args, params, cfg):
         for route in routes:
             if route == "monodromy":
                 q = mono[i]
-                values, tag = q.values, "broken" if is_split(q) else "unbroken"
+                values, tag = q.values, phase_tag(p.mismatch, quasienergy_rate(q, p.mismatch))
             else:
                 b = (static_eigenvalues(p.delta0, p.gamma_c) if route == "static"
                      else floquet_eigenvalues(p.delta0, p.omega_b, p.n, gamma_eff))
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
         raise
     except (EngineError, BracketError, StiffnessError, np.linalg.LinAlgError, ValueError) as exc:
         return _fail(EXIT_NUMERICAL, f"numerical failure: {exc}")
+    except MemoryError as exc:
+        return _fail(EXIT_NUMERICAL,
+                     f"numerical failure: out of memory: {str(exc) or 'allocation failed'}")
     except OSError as exc:
         return _fail(EXIT_IO, f"I/O failure: {exc}")
 

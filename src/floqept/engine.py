@@ -61,14 +61,15 @@ __all__ = [
     "QuasiEnergySet",
     "monodromy_quasienergies",
     "quasienergy_gap",
-    "is_split",
+    "quasienergy_rate",
+    "phase_tag",
     "SidebandSolution",
     "steady_state_response",
     "steady_state_grid",
 ]
 
 TWO_PI = 2.0 * math.pi
-DET_RESIDUAL_MAX = 1e-6  # relative |det(M)| mismatch past which a monodromy run fails
+DET_RESIDUAL_MAX = 1e-6  # | |det M| - 1 | past which a monodromy run fails
 
 PHASES = ("unbroken", "ep", "broken")  # phase tags, indexed by classify_phase codes
 
@@ -114,11 +115,13 @@ def branch_root(mismatch, coupling):
     Every closed form of the model has branches ``center +- branch_root``.
     The principal root has a nonnegative real part, and a nonnegative
     imaginary part where the real part is zero, so the ``+`` branch is
-    always first under the global ordering convention.
+    always first under the global ordering convention.  The radicand is
+    taken as ``(m/2 - coupling)*(m/2 + coupling)``, which does not cancel
+    as ``|m| -> 2*coupling``, at the EP.
     """
-    mismatch = np.asarray(mismatch, dtype=float)
+    half = 0.5 * np.asarray(mismatch, dtype=float)
     coupling = np.asarray(coupling, dtype=float)
-    return np.sqrt((0.25 * mismatch * mismatch - coupling * coupling).astype(complex))
+    return np.sqrt(((half - coupling) * (half + coupling)).astype(complex))
 
 
 def classify_phase(mismatch_abs, threshold, ep_band):
@@ -132,12 +135,17 @@ def classify_phase(mismatch_abs, threshold, ep_band):
     return np.where(np.abs(mismatch_abs - threshold) <= ep_band, 1, side)
 
 
-def _branches(center: float, mismatch: float, coupling: float) -> Branches:
-    """``center +- branch_root``, tagged against ``2*coupling`` to 1e-9 relative."""
-    root = branch_root(mismatch, coupling)
+def phase_tag(mismatch: float, coupling: float) -> str:
+    """The :data:`PHASES` tag of ``|mismatch|`` against ``2*coupling``, to 1e-9 relative."""
     threshold = 2.0 * coupling
-    code = classify_phase(abs(mismatch), threshold, 1e-9 * max(1.0, threshold))
-    return Branches(values=(complex(center + root), complex(center - root)), tag=PHASES[int(code)])
+    return PHASES[int(classify_phase(abs(mismatch), threshold, 1e-9 * max(1.0, threshold)))]
+
+
+def _branches(center: float, mismatch: float, coupling: float) -> Branches:
+    """``center +- branch_root``, tagged by :func:`phase_tag`."""
+    root = branch_root(mismatch, coupling)
+    return Branches(values=(complex(center + root), complex(center - root)),
+                    tag=phase_tag(mismatch, coupling))
 
 
 def static_hamiltonian(delta0: float, gamma_c: float, gamma12: float = 0.0) -> np.ndarray:
@@ -164,8 +172,9 @@ def band_pair_coupling(gamma_c: float, x: float, n1: int, n2: int) -> float:
     """``gamma_c * |J_n1(x) J_n2(x)|`` at the modulation index ``x``.
 
     The product form for both indices nonzero is the measured-case
-    generalization; the monodromy route provides the independent check of
-    it.  Negative indices use ``|J_-m| = |J_m|``.
+    generalization.  No route checks it independently: :class:`LabFrameModel`
+    takes this rate, so the monodromy checks the band-pair algebra and the
+    integration, not the product.  Negative indices use ``|J_-m| = |J_m|``.
     """
     return gamma_c * abs(bessel_j(abs(n1), x) * bessel_j(abs(n2), x))
 
@@ -222,20 +231,19 @@ class LabFrameModel:
                          [off * phase.conjugate(), common - 1j * p.gamma12]])
 
     def fast_generator(self, d0_abs):
-        """``2*pi * F(t)^-1 (matrix(t) - Re diag matrix(t)) F(t)``, stacked over ``d0_abs``.
+        """``2*pi * F(t)^-1 (matrix(t) - diag matrix(t)) F(t)``, stacked over ``d0_abs``.
 
         Member g, the model at ``params.at_detuning(d0_abs[g])``, reads
-        ``2*pi*[[-i*gamma12, i*Gamma_eff*exp(2 pi i mu t)], [i*Gamma_eff*exp(-2
-        pi i mu t), -i*gamma12]]`` with ``mu = delta0 - n_s*omega_b`` (the
-        signed zero flips ``n_s``).  The closure fills one ``(G, 2, 2)``
-        scratch stack at every Runge-Kutta stage and must not be used
-        concurrently.
+        ``2*pi*[[0, i*Gamma_eff*exp(2 pi i mu t)], [i*Gamma_eff*exp(-2 pi i
+        mu t), 0]]`` with ``mu = delta0 - n_s*omega_b`` (the signed zero
+        flips ``n_s``); the rigid decay is left out.  The closure fills one
+        ``(G, 2, 2)`` scratch stack at every Runge-Kutta stage and must not
+        be used concurrently.
         """
         p = self.params
         members = [p.at_detuning(d) for d in d0_abs]
         w_mu = TWO_PI * np.array([m.delta0 - m.n_signed * p.omega_b for m in members])
-        buf = np.empty((len(members), 2, 2), dtype=complex)
-        buf[:, 0, 0] = buf[:, 1, 1] = -1j * TWO_PI * p.gamma12
+        buf = np.zeros((len(members), 2, 2), dtype=complex)
         off = 1j * TWO_PI * self.gamma_eff
 
         def gen(t: float) -> np.ndarray:
@@ -286,14 +294,11 @@ class LabFrameModel:
 class QuasiEnergySet:
     """Two quasi-energies with real parts folded to [-omega_b/2, omega_b/2).
 
-    ``zone_offsets`` are the integers k with ``unfolded = folded + k*omega_b``
-    for the principal-branch logarithm; ``det_residual`` is the relative
-    mismatch of |det(monodromy)| against the decay identity
-    ``exp(-2 * 2*pi * gamma12 * T)``.
+    ``det_residual`` is ``| |det M| - 1 |`` of the decay-free monodromy
+    ``M``, whose generator is trace-free, so that ``|det M| = 1`` exactly.
     """
 
     values: tuple
-    zone_offsets: tuple
     omega_b: float
     det_residual: float
 
@@ -305,9 +310,14 @@ def quasienergy_gap(qset: QuasiEnergySet) -> float:
     return abs(d)
 
 
-def is_split(q: QuasiEnergySet) -> bool:
-    """True when the folded real parts are more than 1 Hz apart (broken phase)."""
-    return quasienergy_gap(q) > 1.0
+def quasienergy_rate(qset: QuasiEnergySet, mismatch: float) -> float:
+    """``|Gamma|`` from the quasi-energy difference: ``(dnu/2)^2 = mismatch^2/4 - Gamma^2``.
+
+    Exact, as the generator is constant in the frame rotating at ``n_s*omega_b/2``;
+    the folded gap ``Re dnu`` aliases unless ``|mismatch| < omega_b/2``.
+    """
+    dnu2 = quasienergy_gap(qset) ** 2 - (qset.values[0].imag - qset.values[1].imag) ** 2
+    return 0.5 * math.sqrt(max(mismatch * mismatch - dnu2, 0.0))
 
 
 def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
@@ -315,10 +325,10 @@ def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
 
     Integrates the interaction-frame propagator ``V`` of
     :meth:`LabFrameModel.fast_generator` over one modulation period with the
-    embedded Runge-Kutta pair, then takes ``nu = i*log(eig(M))/(2*pi*T)``
-    of ``M = F(T) V(T)`` on the principal branch and folds the real parts
-    into the first Floquet zone.  Real parts closer than ``rel_tol *
-    omega_b`` (the integration's noise scale) order as ties.
+    embedded Runge-Kutta pair, then takes ``nu = i*log(eig(M))/(2*pi*T) -
+    i*gamma12`` of the decay-free ``M = F(T) V(T)`` on the principal branch
+    and folds the real parts into the first Floquet zone.  Real parts closer
+    than ``rel_tol * omega_b`` (the integration's noise scale) order as ties.
 
     Without ``d0_abs`` this returns the :class:`QuasiEnergySet` of
     ``params``.  With a sequence ``d0_abs`` it returns one set per point,
@@ -329,8 +339,8 @@ def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
     ------
     EngineError
         When a monodromy eigenvalue underflows (log branch ambiguous), or
-        ``det_residual`` exceeds :data:`DET_RESIDUAL_MAX` (the run lost the
-        decay, as when a large ``gamma12`` sinks the state below ``abs_tol``).
+        ``det_residual`` exceeds :data:`DET_RESIDUAL_MAX` (``M`` lost its unit
+        determinant: an unresolved step, or a mode grown past double precision).
     """
     # params itself is the stack of one at its own |delta0|
     points = [abs(params.delta0)] if d0_abs is None else d0_abs
@@ -353,23 +363,19 @@ def monodromy_quasienergies(params: ModelParams, cfg: SimConfig, d0_abs=None):
             f"monodromy eigenvalue underflow at |delta0| = {points[int(np.argmax(small))]:g} Hz: "
             "quasi-energy log branch ambiguous"
         )
-    nu = 1j * np.log(lam) / (TWO_PI * period)
+    nu = 1j * np.log(lam) / (TWO_PI * period) - 1j * params.gamma12
     w = params.omega_b
-    offsets = np.floor(nu.real / w + 0.5).astype(int)
-    folded = nu - offsets * w
+    folded = nu - np.floor(nu.real / w + 0.5) * w
 
-    det_target = math.exp(-2.0 * TWO_PI * params.gamma12 * period)
-    det_residual = np.abs(np.abs(np.linalg.det(mono)) - det_target) / det_target
+    det_residual = np.abs(np.abs(np.linalg.det(mono)) - 1.0)
     lost = ~(det_residual <= DET_RESIDUAL_MAX)
     if lost.any():
         g = int(np.argmax(lost))
         raise EngineError(f"monodromy determinant residual {det_residual[g]:.3g} at |delta0| = "
-                          f"{points[g]:g} Hz: the decay is unresolved (gamma12 too large?)")
+                          f"{points[g]:g} Hz: the one-period propagator lost its unit determinant")
     order = [order_eigenvalues(values, tie_tol=cfg.rel_tol * w) for values in folded]
-    sets = [QuasiEnergySet(values=tuple(map(complex, values[idx])),
-                           zone_offsets=tuple(map(int, zones[idx])),
-                           omega_b=w, det_residual=float(residual))
-            for values, zones, residual, idx in zip(folded, offsets, det_residual, order)]
+    sets = [QuasiEnergySet(values=tuple(map(complex, v[idx])), omega_b=w, det_residual=float(r))
+            for v, r, idx in zip(folded, det_residual, order)]
     return sets[0] if d0_abs is None else sets
 
 

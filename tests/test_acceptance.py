@@ -226,7 +226,7 @@ def test_criterion_10_property_suite():
             total = bessel_j(0, x) ** 2 + 2 * sum(bessel_j(m, x) ** 2 for m in range(1, 31))
             assert abs(total - 1.0) <= 1e-8
 
-        # monodromy determinant decay identity at 1e-8 relative
+        # unit determinant of the decay-free monodromy (Liouville) at 1e-8
         p = ModelParams(delta0=-3050.0, gamma_c=93.0, gamma12=50.0, delta_b=4300.0,
                         omega_b=3000.0, n1=1, n2=0)
         cfg = SimConfig(truncation_m=5)

@@ -234,6 +234,21 @@ class TestGammaCurve:
         assert curve.gamma_c_fit == pytest.approx(93.0, rel=0.02)
         assert curve.delta_b_fit == pytest.approx(4300.0, rel=0.02)
 
+    @pytest.mark.parametrize("pair", [(2, 0), (2, 1), (3, 0)])
+    def test_declared_pair_closure(self, ep_cfg, pair):
+        # criterion 8's 5 % closure, with the family of the declared band pair
+        from floqept import gamma_curve
+
+        p = ModelParams(delta0=-3000.0, gamma_c=93.0, gamma12=20.0, delta_b=4300.0,
+                        omega_b=3000.0, n1=pair[0], n2=pair[1])
+        curve = gamma_curve(p, np.arange(2500.0, 8001.0, 500.0), ep_cfg)
+        truth = [effective_coupling(93.0, 4300.0, w, *pair) for w in curve.omega_b]
+        assert curve.gamma_eff == pytest.approx(truth, rel=0.05)
+        assert curve.ok
+        assert curve.gamma_c_fit == pytest.approx(93.0, rel=0.05)
+        assert curve.delta_b_fit == pytest.approx(4300.0, rel=0.05)
+        assert curve.fitted() == pytest.approx(truth, rel=0.05)
+
 
 class TestSidebandHeights:
     def test_forward_model_roundtrip(self):

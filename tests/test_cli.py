@@ -17,7 +17,7 @@ import pytest
 
 from floqept import GridSpec
 from floqept.cli import build_parser, main
-from floqept.engine import classify_phase, effective_coupling
+from floqept.engine import classify_phase, effective_coupling, floquet_eigenvalues
 
 BASE = [sys.executable, "-m", "floqept"]
 
@@ -487,15 +487,60 @@ def test_gamma_curve_rejected_fit_exit_3(tmp_path, capsys):
     assert not (tmp_path / "gamma_curve_summary.json").exists()
 
 
-def test_eigen_monodromy_unresolved_decay_exit_3(tmp_path, capsys):
-    # the decay over one period falls far below abs_tol, so the integration loses it
-    argv = ["eigen", "--out", str(tmp_path), "--route", "monodromy", "--delta0", "-3050",
-            "--gamma-c", "93", "--gamma12", "1e5", "--delta-b", "4300", "--omega-b", "3000",
-            "--n1", "1", "--truncation-m", "5"]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert "determinant residual" in err and "|delta0| = 3050 Hz" in err
-    assert not (tmp_path / "eigen.csv").exists()
+def test_eigen_monodromy_large_decay_exit_0(tmp_path, run_cli):
+    # the decay is an exact factor of the monodromy, so no decay is too large to resolve
+    point = ["--delta0", "-3050", "--gamma-c", "93", "--delta-b", "4300", "--omega-b", "3000",
+             "--n1", "1", "--truncation-m", "5"]
+    closed = floquet_eigenvalues(-3050.0, 3000.0, 1, effective_coupling(93.0, 4300.0, 3000.0, 1, 0))
+    for gamma12 in (2e4, 1e5):
+        out = tmp_path / f"{gamma12:g}"
+        r = run_cli("eigen", "--out", str(out), "--route", "monodromy", "--gamma12", str(gamma12),
+                    *point)
+        assert r.returncode == 0, r.stderr
+        _, rows = read_csv(out / "eigen.csv")
+        want = sorted(v.imag - gamma12 for v in closed.values)
+        assert sorted(float(rows[0][i]) for i in (3, 5)) == pytest.approx(want, rel=0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("args", [
+    ("--sweep-delta0", "2990:3010:1", "--omega-b", "3000", "--n1", "1"),
+    ("--delta0", "-4537.423", "--omega-b", "2269.111", "--gamma-c", "241.25",
+     "--delta-b", "7.358", "--gamma12", "126.06", "--n1", "2"),
+], ids=["uncoupled-sweep", "sub-hertz-gap"])
+def test_eigen_monodromy_tags_match_rwa(tmp_path, run_cli, args):
+    # both routes tag through one rule: the monodromy at the rate its quasi-energies read
+    r = run_cli("eigen", "--out", str(tmp_path), "--route", "all", *args)
+    assert r.returncode == 0, r.stderr
+    _, rows = read_csv(tmp_path / "eigen.csv")
+    tags = {}
+    for row in rows:
+        tags.setdefault(row[0], {})[row[1]] = row[6]
+    assert [d for d, by_route in tags.items() if by_route["monodromy"] != by_route["rwa"]] == []
+
+
+def test_ep_and_phase_diagram_share_the_declared_pair(tmp_path, run_cli):
+    # with (n1, n2) = (2, 1) both commands use |J2*J1|, not |J1*J0|
+    pair = ["--n", "1", "--n1", "2", "--n2", "1", "--gamma-c", "93", "--delta-b", "4300"]
+    assert run_cli("ep", "--out", str(tmp_path), *pair).returncode == 0
+    star = json.loads((tmp_path / "ep_summary.json").read_text())["delta0_star_abs"]
+    assert star == pytest.approx(3000.0 + 2.0 * effective_coupling(93.0, 4300.0, 3000.0, 2, 1))
+    assert run_cli("phase-diagram", "--out", str(tmp_path), "--sweep-delta0", "3000:3100:1",
+                   "--sweep-omega-b", "3000:3000:1", *pair).returncode == 0
+    _, rows = read_csv(tmp_path / "phase_diagram.csv")
+    assert [float(row[0]) for row in rows if row[3] == "ep-band"] == [3021.0, 3022.0]
+    assert 3021.0 < star < 3022.0
+
+
+def test_memory_error_exit_3(tmp_path, run_cli, monkeypatch):
+    def out_of_memory(params, cfg):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr("floqept.cli.beat_frequency", out_of_memory)
+    r = run_cli("beat", "--out", str(tmp_path))
+    assert r.returncode == 3
+    assert "numerical failure: out of memory: Unable to allocate" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "beat.csv").exists()
 
 
 def test_eigen_route_all(tmp_path, run_cli):

@@ -1,12 +1,11 @@
 """Error paths and secondary surfaces: solver-error annotation, sideband
-labels, degenerate-fit diagnostics, branch-ambiguity flags, transfer
+labels, degenerate-fit diagnostics, strong-decay quasi-energies, transfer
 scaling across the drive frequency."""
 
 import numpy as np
 import pytest
 
 from floqept import (
-    EngineError,
     GridSpec,
     ModelParams,
     SimConfig,
@@ -74,11 +73,11 @@ def test_gamma_curve_residuals_shape():
     assert np.max(np.abs(res)) <= 0.05 * np.max(curve.gamma_eff)
 
 
-def test_monodromy_branch_ambiguity_flagged():
-    # decay so strong over one period that the propagator underflows
+def test_monodromy_strong_decay_exact():
+    # exp(-2 pi gamma12 T) underflows over one period, but the decay is an exact factor
     p = ModelParams(delta0=0.0, gamma_c=0.0, gamma12=200.0, delta_b=0.0, omega_b=1.0)
-    with pytest.raises(EngineError, match="underflow"):
-        monodromy_quasienergies(p, SimConfig(rel_tol=1e-8, abs_tol=1e-310))
+    q = monodromy_quasienergies(p, SimConfig(rel_tol=1e-8, abs_tol=1e-310))
+    assert [v.imag for v in q.values] == [-200.0, -200.0]
 
 
 def test_transfer_tracks_band_weights_across_drive_frequency():

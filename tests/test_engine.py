@@ -1,4 +1,4 @@
-import cmath
+import decimal
 import math
 
 import numpy as np
@@ -21,7 +21,8 @@ from floqept.engine import (
     LabFrameModel,
     branch_root,
     classify_phase,
-    is_split,
+    phase_tag,
+    quasienergy_rate,
     static_hamiltonian,
 )
 from floqept.numerics.bessel import bessel_j
@@ -156,9 +157,24 @@ class TestFloquetEigenvalues:
             assert b.nu_plus + b.nu_minus == pytest.approx(d0 + ns * w, abs=1e-8)
 
 
+def _decimal_root(mismatch, coupling):
+    """``sqrt(mismatch^2/4 - coupling^2)`` in 60-digit decimal arithmetic, rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        half, g = decimal.Decimal(float(mismatch)) / 2, decimal.Decimal(float(coupling))
+        radicand = half * half - g * g
+        root = float(abs(radicand).sqrt())
+    return complex(root, 0.0) if radicand >= 0 else complex(0.0, root)
+
+
+def _close(got, want, root):
+    """Within 1e-15 relative of the value, plus 1e-15 relative of the root it carries."""
+    return abs(got - want) <= 1e-15 * (abs(want) + abs(root))
+
+
 def _pointwise_branches(center, mismatch, coupling):
-    """Reference closed form: scalar root, explicit sort, scalar tag."""
-    root = cmath.sqrt(0.25 * mismatch * mismatch - coupling * coupling)
+    """Reference closed form: decimal root, explicit sort, scalar tag."""
+    root = _decimal_root(mismatch, coupling)
     pair = (center + root, center - root)
     idx = order_eigenvalues(pair)
     threshold = 2.0 * coupling
@@ -166,7 +182,7 @@ def _pointwise_branches(center, mismatch, coupling):
         tag = "ep"
     else:
         tag = "unbroken" if abs(mismatch) < threshold else "broken"
-    return (pair[idx[0]], pair[idx[1]]), tag
+    return (pair[idx[0]], pair[idx[1]]), tag, root
 
 
 class TestBranchKernel:
@@ -183,9 +199,10 @@ class TestBranchKernel:
     def test_static_matches_sorted_reference(self, rng):
         for d0, gc in zip(*self._points(rng, 2000)):
             d0, gc = float(d0), float(gc)
-            values, tag = _pointwise_branches(0.5 * d0, d0, gc)
+            values, tag, root = _pointwise_branches(0.5 * d0, d0, gc)
             b = static_eigenvalues(d0, gc)
-            assert b.values == values and b.tag == tag
+            assert all(_close(got, want, root) for got, want in zip(b.values, values))
+            assert b.tag == tag
             assert all(type(v) is complex for v in b.values)
 
     def test_floquet_and_rwa_match_sorted_reference(self, rng):
@@ -195,17 +212,29 @@ class TestBranchKernel:
             sign = float(rng.choice([-1.0, 1.0]))
             d0 = sign * (n * w + float(mu))
             ns = n if d0 >= 0 else -n
-            values, tag = _pointwise_branches(0.5 * (d0 + ns * w), d0 - ns * w, float(g))
+            values, tag, root = _pointwise_branches(0.5 * (d0 + ns * w), d0 - ns * w, float(g))
             b = floquet_eigenvalues(d0, w, n, float(g))
-            assert b.values == values and b.tag == tag
+            assert all(_close(got, want, root) for got, want in zip(b.values, values))
+            assert b.tag == tag
 
     def test_vector_root_matches_scalar_root(self, rng):
         mismatch, coupling = self._points(rng, 5000)
         roots = branch_root(mismatch, coupling)
         for mu, g, root in zip(mismatch, coupling, roots):
-            assert root == cmath.sqrt(0.25 * mu * mu - g * g)
-            # the separation observable's former clipped real form
-            assert 2.0 * root.real == 2.0 * math.sqrt(max(0.25 * mu * mu - g * g, 0.0))
+            want = _decimal_root(mu, g)
+            assert abs(root - want) <= 1e-15 * abs(want)
+            # the separation observable reads 0 exactly where the phase is unbroken
+            assert (root.real == 0.0) == (want.real == 0.0)
+
+    def test_root_accurate_near_ep(self, rng):
+        # (m/2 - g)*(m/2 + g) does not cancel as |m| -> 2*g
+        for eps in 10.0 ** -np.arange(15, 2, -1):
+            for side in (-1.0, 1.0):
+                coupling = rng.uniform(1.0, 500.0, 50)
+                mismatch = 2.0 * coupling * (1.0 + side * eps) * rng.choice([-1.0, 1.0], 50)
+                for mu, g, root in zip(mismatch, coupling, branch_root(mismatch, coupling)):
+                    want = _decimal_root(mu, g)
+                    assert abs(root - want) <= 1e-15 * abs(want), (eps, side, mu, g)
 
     def test_classify_phase_codes(self):
         codes = classify_phase(np.array([0.0, 9.5, 10.0, 10.5, 20.0]), 10.0, 0.5)
@@ -226,14 +255,14 @@ class TestLabFrameModel:
         assert np.array_equal(model.matrix(0.37e-3), expected)
 
     def test_fast_generator_matches(self, coupled_point):
-        # the generator is 2*pi*matrix(t) in the frame rotating with its Hermitian diagonal
+        # the generator is 2*pi*matrix(t) less its diagonal, in the frame rotating with it
         model = LabFrameModel(coupled_point)
         gen = model.fast_generator([abs(coupled_point.delta0)])
         for t in (0.0, 0.7e-4, 3.1e-4):
             lab = TWO_PI * model.matrix(t)
             cycles = np.array([coupled_point.delta0 * t, 0.0]) + model.drive_cycles(t)
             frame = np.exp(-1j * TWO_PI * cycles)
-            moving = lab - np.diag(np.diag(lab).real)
+            moving = lab - np.diag(np.diag(lab))
             want = frame.conj()[:, None] * moving * frame[None, :]
             assert np.allclose(gen(t)[0], want, rtol=0.0, atol=1e-11)
 
@@ -415,8 +444,7 @@ class TestMonodromy:
     def test_gap_wraps_across_zone_boundary(self):
         from floqept.engine import QuasiEnergySet, quasienergy_gap
 
-        q = QuasiEnergySet(values=(1499.0 + 0j, -1499.0 + 0j), zone_offsets=(0, 0),
-                           omega_b=3000.0, det_residual=0.0)
+        q = QuasiEnergySet(values=(1499.0 + 0j, -1499.0 + 0j), omega_b=3000.0, det_residual=0.0)
         assert quasienergy_gap(q) == pytest.approx(2.0, abs=1e-9)
 
     def test_dissipative_imag_parts_nonpositive(self, base_cfg, rng):
@@ -450,15 +478,16 @@ class TestMonodromyBatch:
         cfg = SimConfig()
         batch = monodromy_quasienergies(p, cfg, sweep)
         assert len(batch) == sweep.size
-        split = []
+        tags = []
         for d, q in zip(sweep, batch):
             point = monodromy_quasienergies(p.at_detuning(d), cfg)
             assert max(abs(a - b) for a, b in zip(q.values, point.values)) <= 1e-6
-            assert q.zone_offsets == point.zone_offsets
-            assert is_split(q) == is_split(point)
+            mu = p.at_detuning(d).mismatch
+            tag = phase_tag(mu, quasienergy_rate(q, mu))
+            assert tag == phase_tag(mu, quasienergy_rate(point, mu))
             assert q.det_residual <= 1e-8
-            split.append(is_split(q))
-        assert split == [False, False, False, True, True, True]
+            tags.append(tag)
+        assert tags == ["unbroken"] * 3 + ["broken"] * 3
 
     def test_members_needing_different_steps(self):
         # the fast member sets the shared step, so the slow ones gain accuracy
@@ -482,18 +511,29 @@ class TestMonodromyBatch:
             error = lambda s: max(abs(a - b) for a, b in zip(s.values, exact.values))
             assert error(q) <= error(own)
 
-    def test_unresolved_decay_raises(self):
-        # the state falls below abs_tol within the period and the step control
-        # stops resolving the decay; the determinant identity catches it
-        p = ModelParams(delta0=-3050.0, gamma_c=93.0, gamma12=2e4, delta_b=4300.0,
-                        omega_b=3000.0, n1=1, n2=0)
-        with pytest.raises(EngineError, match="determinant residual .* at \\|delta0\\| = 3050 Hz"):
-            monodromy_quasienergies(p, SimConfig())
+    def test_large_decay_is_exact(self):
+        # the decay is an exact factor, so no state falls below abs_tol within the period
+        geff = effective_coupling(93.0, 4300.0, 3000.0, 1, 0)
+        closed = floquet_eigenvalues(-3050.0, 3000.0, 1, geff)
+        for gamma12 in (2e4, 1e5):
+            p = ModelParams(delta0=-3050.0, gamma_c=93.0, gamma12=gamma12, delta_b=4300.0,
+                            omega_b=3000.0, n1=1, n2=0)
+            q = monodromy_quasienergies(p, SimConfig())
+            want = sorted(v.imag - gamma12 for v in closed.values)
+            assert sorted(v.imag for v in q.values) == pytest.approx(want, rel=0.0, abs=1e-6)
+            assert q.det_residual <= 1e-8
 
-    def test_underflow_raises_in_a_batch(self):
+    def test_underflow_raises_in_a_batch(self, monkeypatch):
+        # a member whose propagator is zero has no logarithm
+        def zero_first_member(gen, y0, span, **tols):
+            traj = integrate_linear(gen, y0, span, **tols)
+            traj.final_y[0] = 0.0
+            return traj
+
+        monkeypatch.setattr("floqept.engine.integrate_linear", zero_first_member)
         p = ModelParams(delta0=0.0, gamma_c=0.0, gamma12=200.0, delta_b=0.0, omega_b=1.0)
         with pytest.raises(EngineError, match="underflow at \\|delta0\\| = 0 Hz"):
-            monodromy_quasienergies(p, SimConfig(rel_tol=1e-8, abs_tol=1e-310), [0.0, 0.25])
+            monodromy_quasienergies(p, SimConfig(), [0.0, 0.25])
 
     def test_signed_zero_member_keeps_its_band_offset(self):
         # at |delta0| = 0 the red side is -0.0, where n_signed flips to +n
