@@ -13,13 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    _bessel_ladder,
+    _hb_blocks,
+    _require_finite,
     band_pair_coupling,
     classify_phase,
     coupling_rate,
     effective_coupling,
     monodromy_quasienergies,
     quasienergy_rate,
-    steady_state_grid,
 )
 from .numerics.bessel import bessel_j
 from .numerics.fit import FitResult, lm_fit
@@ -126,39 +128,6 @@ def _band(params: ModelParams, n: int) -> ModelParams:
     return params if n == params.n else params.but(n1=n, n2=0)
 
 
-def _pole_rate(params: ModelParams, cfg: SimConfig) -> float:
-    """``|Gamma|`` read from the transfer poles of the coupled pair at ``params``.
-
-    Near the coupled resonances ``c1 = delta0 + stark`` and ``c2 =
-    n_s*omega_b + stark`` one Bessel block of :func:`steady_state_grid`
-    dominates, so the cross-channel transfer is ``P = J^2 Gamma^2 /
-    |(delta - lam+)(delta - lam-)|^2`` and ``1/P`` is a real quartic with
-    roots ``(c1 + c2)/2 +- r -+ i*gamma12``.  The quartic ``Q`` minimising
-    ``sum (P*Q - 1)^2`` is a linear least-squares fit (Levy 1959); with
-    ``r`` half the spread of its roots' real parts and ``mu = c1 - c2``,
-    ``Gamma^2 = mu^2/4 - r^2``.  The window is capped at ``0.15*omega_b``
-    to keep the neighbouring blocks out.  The probe goes to the channel
-    with the larger weight on the block (``|J_0(x)|`` for channel 1,
-    ``|J_n(x)|`` for channel 2).  A transfer that is identically zero reads 0.
-    """
-    c1 = params.delta0 + params.stark_shift
-    c2 = params.n_signed * params.omega_b + params.stark_shift
-    center, mu = 0.5 * (c1 + c2), c1 - c2
-    half = min(abs(mu) + 6.0 * params.gamma12 + 4.0 * coupling_rate(params), 0.15 * params.omega_b)
-    u = np.arange(-half, half, cfg.grid.step) / half
-    x = params.modulation_index
-    probe = 1 if abs(bessel_j(0, x)) >= abs(bessel_j(params.n, x)) else 2
-    transfer = steady_state_grid(params, cfg, probe, center + half * u)[2 - probe]
-    peak = transfer.max()
-    if peak == 0.0:
-        return 0.0
-    quartic = np.linalg.lstsq((transfer / peak)[:, None] * np.vander(u, 5), np.ones(u.size),
-                              rcond=None)[0]
-    re = np.roots(quartic).real
-    r = 0.5 * half * (re.max() - re.min())
-    return math.sqrt(max(0.25 * mu * mu - r * r, 0.0))
-
-
 def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
                 gamma_eff_override: float | None) -> float:
     """``|Gamma|`` as the route reads it.
@@ -166,22 +135,56 @@ def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
     The closed form uses the prescribed rate, else the model's.  The other
     routes read ``Gamma`` at the split-side points ``mu = +-(1.5, 2, 3) *
     scale``, ``scale = max(2*Gamma_eff, grid step)``, and average the six
-    reads.  The spectral route reads each by :func:`_pole_rate`, the
-    monodromy route by :func:`quasienergy_rate` from one batched
-    integration.  The monodromy scale is capped at ``omega_b/7``: then
-    ``|mu| < omega_b/2``, and the folded gap cannot alias.
+    reads.  The monodromy route reads each by :func:`quasienergy_rate` from
+    one batched integration, its scale capped at ``omega_b/7`` so that
+    ``|mu| < omega_b/2`` and the folded gap cannot alias.
+
+    The spectral route reads each from the transfer poles.  Near the coupled resonances
+    ``c1 = delta0 + stark`` and ``c2 = n_s*omega_b + stark`` one Bessel block dominates the
+    cross transfer ``P = Gamma_eff^2 * w @ (1/|det|^2)`` of :func:`steady_state_grid`, so
+    ``P = J^2 Gamma^2 / |(delta - lam+)(delta - lam-)|^2`` and ``1/P`` is a real quartic with
+    roots ``(c1 + c2)/2 +- r -+ i*gamma12``.  The quartic ``Q`` minimising ``sum (P*Q -
+    1)^2`` is a linear least-squares fit (Levy 1959); ``Gamma^2 = mu^2/4 - r^2`` with ``r``
+    half the spread of its roots' real parts.  The window is capped at ``0.15*omega_b`` to
+    keep the other blocks out, and the probe goes to the channel with the larger block
+    weight, ``|J_0(x)|`` or ``|J_n(x)|``.  The Bessel ladder, the probe and ``Gamma_eff^2``
+    are computed once; each point then makes one real block-kernel call over its window.
+    A transfer that is identically zero reads 0.
     """
     if route == "closed-form":
         return abs(coupling_rate(params) if gamma_eff_override is None else gamma_eff_override)
-    scale = max(2.0 * coupling_rate(params), cfg.grid.step)
+    geff = coupling_rate(params)
+    scale = max(2.0 * geff, cfg.grid.step)
     if route == "monodromy":
         scale = min(scale, params.omega_b / 7.0)
     mus = np.array([1.5, 2.0, 3.0, -1.5, -2.0, -3.0]) * scale
     center = params.n * params.omega_b
-    if route == "spectral-pipeline":
-        return float(np.mean([_pole_rate(params.at_detuning(center + m), cfg) for m in mus]))
-    sets = monodromy_quasienergies(params, cfg, center + mus)
-    return float(np.mean([quasienergy_rate(q, m) for q, m in zip(sets, mus)]))
+    if route == "monodromy":
+        sets = monodromy_quasienergies(params, cfg, center + mus)
+        return float(np.mean([quasienergy_rate(q, m) for q, m in zip(sets, mus)]))
+    ks, ladder = _bessel_ladder(params.modulation_index, params.n)
+    probe = 1 if abs(ladder[0]) >= abs(ladder[params.n]) else 2
+    cross = geff ** 2
+    rates = []
+    for p in (params.at_detuning(center + m) for m in mus):
+        c1, c2 = p.delta0 + p.stark_shift, p.n_signed * p.omega_b + p.stark_shift
+        mu = c1 - c2
+        half = min(abs(mu) + 6.0 * p.gamma12 + 4.0 * geff, 0.15 * p.omega_b)
+        u = np.arange(-half, half, cfg.grid.step) / half
+        deltas = 0.5 * (c1 + c2) + half * u
+        inv = _hb_blocks(p, ks, deltas, cross)[2]
+        with np.errstate(invalid="ignore", over="ignore"):  # checked next
+            transfer = cross * (ladder[np.abs(ks - (probe - 1) * p.n_signed)] ** 2 @ inv)
+        _require_finite(transfer, inv, deltas)
+        if (peak := transfer.max()) == 0.0:
+            rates.append(0.0)
+            continue
+        quartic = np.linalg.lstsq((transfer / peak)[:, None] * np.vander(u, 5), np.ones(u.size),
+                                  rcond=None)[0]
+        re = np.roots(quartic).real
+        r = 0.5 * half * (re.max() - re.min())
+        rates.append(math.sqrt(max(0.25 * mu * mu - r * r, 0.0)))
+    return float(np.mean(rates))
 
 
 def locate_ep(params: ModelParams, n: int | None, route: str, cfg: SimConfig,
@@ -342,13 +345,12 @@ def fit_sideband_heights(heights, m: int) -> FitResult:
         alpha, k = p
         return np.array([alpha * bessel_j(m, k / xi) ** 2 for xi in x])
 
-    peak_x = {0: 0.0, 1: 1.8412, 2: 3.0542, 3: 4.2012}.get(m, 1.0 + 1.1 * m)
     if m == 0:
-        k0 = 0.5 * float(np.min(w))
-    else:
-        k0 = peak_x * float(w[np.argmax(h)])
-    alpha0 = float(h.max()) / max(bessel_j(m, peak_x) ** 2, 1e-3) if m else float(h.max())
-    return lm_fit(model, w, h, np.array([alpha0, k0]))
+        p0 = [float(h.max()), 0.5 * float(np.min(w))]
+    else:  # the tallest height sits at the first maximum of J_m^2
+        x_peak, peak = _first_peak((m, m))
+        p0 = [float(h.max()) / max(peak, 1e-3), x_peak * float(w[np.argmax(h)])]
+    return lm_fit(model, w, h, np.array(p0))
 
 
 def phase_diagram(params: ModelParams, delta0_abs_grid, omega_b_grid, n: int,
@@ -377,7 +379,7 @@ def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,
 
     Scans ``x = delta_b/omega_b`` up to :data:`MAX_MODULATION_INDEX` for
     the first bracket where ``|J_n1(x) J_n2(x)| * gamma_c`` crosses the
-    target, then bisects.
+    target, then bisects until the bracket is two adjacent doubles.
 
     Raises
     ------
@@ -391,9 +393,10 @@ def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,
         return band_pair_coupling(gamma_c, x, n1, n2) - target_gamma_eff
 
     xs = np.arange(0.0, MAX_MODULATION_INDEX, 0.02)
-    lo = None
+    f_hi = f(xs[0])
     for a, b in zip(xs[:-1], xs[1:]):
-        if f(a) < 0.0 <= f(b):
+        f_lo, f_hi = f_hi, f(b)
+        if f_lo < 0.0 <= f_hi:
             lo, hi = a, b
             break
     else:
@@ -401,10 +404,9 @@ def solve_modulation_depth(gamma_c: float, omega_b: float, n1: int, n2: int,
             f"Gamma_eff = {target_gamma_eff:g} Hz unreachable for bands ({n1}, {n2}) "
             f"with gamma_c = {gamma_c:g} Hz over x <= {MAX_MODULATION_INDEX:g}"
         )
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi) * omega_b
+    return mid * omega_b

@@ -279,15 +279,18 @@ class LabFrameModel:
         """
         p = self.params
         ts = np.asarray(ts, dtype=float)[:, None]
-        s0 = np.asarray(s0, dtype=complex)
-        m = p.delta0 - self.n_signed * p.omega_b
-        k0 = np.array([[0.5 * m, 1j * self.gamma_eff], [1j * self.gamma_eff, -0.5 * m]])
-        lam = branch_root(m, self.gamma_eff)
-        u = np.cos(TWO_PI * lam * ts) * s0 - 1j * TWO_PI * ts * np.sinc(2.0 * lam * ts) * (k0 @ s0)
+        u = self._amplitude(s0, ts)
         w = TWO_PI * p.omega_b
         scalar = 0.5 * p.delta0 * ts + self.drive_cycles(ts)
         frame = np.exp(-0.5j * w * self.n_signed * ts * np.array([1.0, -1.0]))
         return frame * np.exp(-1j * TWO_PI * scalar) * u
+
+    def _amplitude(self, s0, ts) -> np.ndarray:
+        """``u = exp(-2 pi i K0 t) s0`` at the column ``ts``; ``|u| = |undamped_states|``."""
+        m = self.params.delta0 - self.n_signed * self.params.omega_b
+        k0 = np.array([[0.5 * m, 1j * self.gamma_eff], [1j * self.gamma_eff, -0.5 * m]])
+        lam = branch_root(m, self.gamma_eff)
+        return np.cos(TWO_PI * lam * ts) * s0 - 1j * TWO_PI * ts * np.sinc(2.0 * lam * ts) * (k0 @ s0)
 
 
 @dataclass(frozen=True)
@@ -477,6 +480,37 @@ def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> Sideban
     )
 
 
+def _bessel_ladder(x: float, n: int):
+    """Block indices ``k`` of :func:`steady_state_grid` and ``J_m(x)`` for ``m = 0 .. kmax + n``."""
+    kmax = math.ceil(abs(x)) + 15 + n
+    return np.arange(-kmax, kmax + 1), np.array([bessel_j(m, x) for m in range(kmax + n + 1)])
+
+
+def _hb_blocks(params: ModelParams, ks, deltas, cross: float):
+    """Real diagonals ``a = k*omega_b - d1 + delta``, ``b = (k - n_s)*omega_b - d2 + delta`` of
+    the Bessel blocks and ``1/|det|^2 = 1/((a*b + cross - gamma12^2)^2 + gamma12^2*(a + b)^2)``,
+    each ``(K, G)``; ``cross = Gamma_eff^2``.  A zero determinant gives an infinite inverse."""
+    g2 = params.gamma12 ** 2
+    a = (ks * params.omega_b - (params.delta0 + params.stark_shift))[:, None] + deltas
+    b = ((ks - params.n_signed) * params.omega_b - params.stark_shift)[:, None] + deltas
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # read by _require_finite
+        inv = a * b  # factored: t^2 - (mu/2)^2 would cancel next to a resonance
+        inv += cross - g2
+        inv *= inv
+        inv += g2 * (a + b) ** 2
+        np.divide(1.0, inv, out=inv)
+    return a, b, inv
+
+
+def _require_finite(powers, inv, deltas) -> None:
+    """Raise :class:`SingularSteadyStateError` at the first ``delta`` with a non-finite power."""
+    bad = ~np.all(np.isfinite(powers.reshape(-1, deltas.size)), axis=0)
+    if bad.any():
+        g = int(np.argmax(bad))
+        why = "singular 2x2 block" if np.isinf(inv[:, g]).any() else "non-finite power"
+        raise SingularSteadyStateError(f"singular steady-state system at delta = {deltas[g]:g} Hz: {why}")
+
+
 def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
                       deltas, amplitude: complex = 1.0):
     """Exact steady-state powers over a probe-detuning grid.
@@ -501,40 +535,27 @@ def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
     A channel-1 probe drives block k with weight ``|J_k(x)|``, a channel-2
     probe with ``|J_(k-n_s)(x)|``, and ``P_j = sum_k |y_(j,k)|^2``.  Blocks
     run over ``|k| <= ceil(|x|) + 15 + |n_s|``, past which the weights are
-    negligible.
+    negligible.  In real arithmetic (:func:`_hb_blocks`) with probe weights ``w``, the probed
+    channel reads ``w @ ((b^2 + gamma12^2)/|det|^2)`` (``a`` for channel 2), the other
+    ``Gamma_eff^2 * w @ (1/|det|^2)``.
 
     Raises
     ------
     SingularSteadyStateError
-        On an exactly zero block determinant or a non-finite power at any
-        grid point; the message names the first such ``delta``.
+        On a zero block determinant or a non-finite power at any grid point;
+        the message names the first such ``delta``.
     """
     deltas = np.asarray(deltas, dtype=float)
     channels = np.atleast_1d(probe_channel)
-    x, ns, w = params.modulation_index, params.n_signed, params.omega_b
-    kmax = math.ceil(abs(x)) + 15 + abs(ns)
-    ks = np.arange(-kmax, kmax + 1)
-    bessel = np.array([bessel_j(m, x) for m in range(kmax + abs(ns) + 1)])
-    weights = bessel[np.abs(np.stack([ks, ks - ns]))] ** 2  # (2, K): channel-1, channel-2 probe
-    decay = 1j * params.gamma12
-    a = (ks * w - (params.delta0 + params.stark_shift))[:, None] + deltas + decay
-    b = ((ks - ns) * w - params.stark_shift)[:, None] + deltas + decay
+    ks, ladder = _bessel_ladder(params.modulation_index, abs(params.n))
     cross = coupling_rate(params) ** 2
-    det = a * b + cross
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # checked below
-        inv = 1.0 / np.abs(det) ** 2
-        # the probed channel's own response is the other diagonal entry over det
-        own = np.stack([np.abs(b) ** 2, np.abs(a) ** 2]) * inv
-        wts = abs(amplitude) ** 2 * weights[channels - 1]
-        powers = np.empty((channels.size, 2, deltas.size))
-        rows = np.arange(channels.size)
-        powers[rows, channels - 1] = np.einsum("ck,ckg->cg", wts, own[channels - 1])
-        powers[rows, 2 - channels] = wts @ (cross * inv)
-    bad = np.any(det == 0, axis=0) | ~np.all(np.isfinite(powers), axis=(0, 1))
-    if bad.any():
-        g = int(np.argmax(bad))
-        reason = "singular 2x2 block" if np.any(det[:, g] == 0) else "non-finite power"
-        raise SingularSteadyStateError(
-            f"singular steady-state system at delta = {deltas[g]:g} Hz: {reason}"
-        )
+    a, b, inv = _hb_blocks(params, ks, deltas, cross)
+    own = (b, a)  # the probed channel's own response is the other diagonal entry over det
+    powers = np.empty((channels.size, 2, deltas.size))
+    with np.errstate(invalid="ignore", over="ignore"):  # checked below
+        for i, ch in enumerate(channels):
+            wts = abs(amplitude) ** 2 * ladder[np.abs(ks - (ch - 1) * params.n_signed)] ** 2
+            powers[i, ch - 1] = wts @ ((own[ch - 1] ** 2 + params.gamma12 ** 2) * inv)
+            powers[i, 2 - ch] = cross * (wts @ inv)
+    _require_finite(powers, inv, deltas)
     return powers[0] if np.ndim(probe_channel) == 0 else powers

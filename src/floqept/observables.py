@@ -287,7 +287,9 @@ def beat_frequency(params: ModelParams, cfg: SimConfig) -> BeatMeasurement:
     Evaluates the exact lab-frame states
     (:meth:`~floqept.engine.LabFrameModel.undamped_states`) with equal
     seeding of both channels, discards a five-decay-time transient, and
-    records the channel-1 power ``|s_1(t)|^2`` over ``cfg.sim_duration``.
+    records the channel-1 power ``|s_1(t)|^2`` over ``cfg.sim_duration``,
+    read as ``|u_1(t)|^2`` of the interaction-frame amplitude: the lab frame
+    and the common-mode phase have unit modulus.
     The rigid ``-i*gamma12`` decay is left out (it factors out of the
     dynamics as ``exp(-2 pi gamma12 t)`` and carries no beat information),
     which keeps the projection window flat.  The log-power series is
@@ -314,7 +316,7 @@ def beat_frequency(params: ModelParams, cfg: SimConfig) -> BeatMeasurement:
     ts = np.arange(transient, transient + duration, dt)
     y0 = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        power = np.abs(LabFrameModel(params).undamped_states(y0, ts)[:, 0]) ** 2
+        power = np.abs(LabFrameModel(params)._amplitude(y0, ts[:, None])[:, 0]) ** 2
     if not np.all(np.isfinite(power)):
         raise EngineError(
             "beat: channel-1 power is not finite within the simulated span "

@@ -173,6 +173,20 @@ class TestLocateEp:
         assert len(integrations) == 1
         assert len(integrations[0][2]) == 6
 
+    def test_spectral_route_one_bessel_ladder(self, floquet_template, ep_cfg, monkeypatch):
+        # the six reads share one ladder J_0 .. J_top: the top order is evaluated once,
+        # and the only other calls are the coupling rate's J_n1 and J_n2
+        orders = []
+
+        def counted(m, x):
+            orders.append(m)
+            return bessel_j(m, x)
+
+        monkeypatch.setattr("floqept.engine.bessel_j", counted)
+        locate_ep(floquet_template, 1, "spectral-pipeline", ep_cfg)
+        assert orders.count(max(orders)) == 1
+        assert len(orders) == max(orders) + 1 + 2
+
     def test_monodromy_route_lower_crossing(self, floquet_template, ep_cfg):
         r = locate_ep(floquet_template, 1, "monodromy", ep_cfg, bracket=(2900.0, 3000.0))
         rate = coupling_rate(floquet_template)
@@ -259,6 +273,16 @@ class TestSidebandHeights:
         assert fit.converged
         assert fit.parameters[0] == pytest.approx(1.0, rel=1e-6)
         assert abs(fit.parameters[1]) == pytest.approx(3000.0, rel=1e-6)
+
+    def test_forward_model_roundtrip_m4(self):
+        # the start point is the first maximum of J_4^2, at x = 5.3175
+        k = 6000.0
+        omegas = np.linspace(k / 7.4, k / 2.0, 15)
+        data = [(w, 0.8 * bessel_j(4, k / w) ** 2) for w in omegas]
+        fit = fit_sideband_heights(data, 4)
+        assert fit.converged
+        assert fit.parameters[0] == pytest.approx(0.8, rel=1e-6)
+        assert abs(fit.parameters[1]) == pytest.approx(k, rel=1e-6)
 
     def test_m0_large_omega_plateau(self):
         omegas = np.linspace(5e4, 5e5, 12)

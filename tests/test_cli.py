@@ -218,6 +218,19 @@ def test_beat_overflow_exit_3_without_nan_csv(tmp_path, run_cli):
     assert not csv.exists() or "nan" not in csv.read_text().lower()
 
 
+def test_ep_spectral_singular_block_exit_3(tmp_path, run_cli):
+    # gamma_c = gamma12 = 0: the window of the |mu| = 4 Hz read holds the channel-1
+    # line of block 0 exactly, where the block determinant is zero
+    r = run_cli(
+        "ep", "--out", str(tmp_path), "--route", "spectral-pipeline", "--n", "1",
+        "--delta0", "-3050", "--gamma-c", "0", "--gamma12", "0", "--delta-b", "4300",
+        "--omega-b", "3000", "--n1", "1",
+    )
+    assert r.returncode == 3
+    assert "delta = -3004 Hz: singular 2x2 block" in r.stderr
+    assert not (tmp_path / "ep.csv").exists()
+
+
 def test_ep_closed_form(tmp_path, run_cli):
     r = run_cli(
         "ep", "--out", str(tmp_path), "--route", "closed-form", "--n", "1",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from floqept.engine import (
     TWO_PI,
     LabFrameModel,
     branch_root,
+    coupling_rate,
     effective_coupling,
     steady_state_grid,
     steady_state_response,
@@ -93,6 +96,34 @@ def test_grid_matches_single_solves(coupled_point, base_cfg, case, channels):
             sol = steady_state_response(p, converged, (int(channel), float(delta), 1.0))
             assert powers[i, 0, g] == pytest.approx(sol.channel_power(1), rel=1e-10)
             assert powers[i, 1, g] == pytest.approx(sol.channel_power(2), rel=1e-10)
+
+
+def _dense_case(coupled_point, case):
+    """``(params, deltas, converged truncation)``.  "x20", "x50": a strong drive, up
+    to the largest accepted index.  "narrow": gamma12 = 0.5 Hz, probed 0.01 Hz from
+    the bare channel-1 line and from both coupled lines of block 0 (``a*b =
+    -Gamma_eff^2``), where ``|det|`` nearly vanishes."""
+    deltas = np.array([-3100.0, -3050.0, -3025.0, -3000.0, 0.0, 1234.5])
+    if case.startswith("x"):
+        x = float(case[1:])
+        return coupled_point.but(delta_b=x * coupled_point.omega_b), deltas, int(x) + 30
+    p = coupled_point.but(delta0=-3200.0, gamma12=0.5)
+    c1, c2 = p.delta0, p.n_signed * p.omega_b
+    root = math.sqrt(0.25 * (c1 - c2) ** 2 - coupling_rate(p) ** 2)
+    lines = np.array([c1, 0.5 * (c1 + c2) - root, 0.5 * (c1 + c2) + root])
+    return p, np.concatenate([lines - 0.01, lines + 0.01]), 16
+
+
+@pytest.mark.parametrize("channel", [1, 2])
+@pytest.mark.parametrize("case", ["x20", "x50", "narrow"])
+def test_grid_matches_dense_solve_at_strong_drive_and_narrow_lines(coupled_point, case, channel):
+    p, deltas, truncation = _dense_case(coupled_point, case)
+    powers = steady_state_grid(p, SimConfig(), channel, deltas)
+    converged = SimConfig(truncation_m=truncation)
+    for g, delta in enumerate(deltas):
+        sol = steady_state_response(p, converged, (channel, float(delta), 1.0))
+        assert powers[:, g] == pytest.approx([sol.channel_power(1), sol.channel_power(2)],
+                                             rel=1e-10)
 
 
 def test_grid_raises_where_the_dense_solve_does():
