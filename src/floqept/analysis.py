@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    _bessel_ladder,
+    _comb,
     _hb_blocks,
     _require_finite,
     band_pair_coupling,
@@ -146,10 +146,10 @@ def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
     roots ``(c1 + c2)/2 +- r -+ i*gamma12``.  The quartic ``Q`` minimising ``sum (P*Q -
     1)^2`` is a linear least-squares fit (Levy 1959); ``Gamma^2 = mu^2/4 - r^2`` with ``r``
     half the spread of its roots' real parts.  The window is capped at ``0.15*omega_b`` to
-    keep the other blocks out, and the probe goes to the channel with the larger block
-    weight, ``|J_0(x)|`` or ``|J_n(x)|``.  The Bessel ladder, the probe and ``Gamma_eff^2``
-    are computed once; each point then makes one real block-kernel call over its window.
-    A transfer that is identically zero reads 0.
+    keep the other blocks out, and the probe goes to the channel whose comb weight
+    (:func:`~floqept.engine._comb`) is larger at block 0, ``J_0(x)^2`` or ``J_n(x)^2``.  The
+    comb, the probe and ``Gamma_eff^2`` are computed once; each point then makes one real
+    block-kernel call over its window.  A transfer that is identically zero reads 0.
     """
     if route == "closed-form":
         return abs(coupling_rate(params) if gamma_eff_override is None else gamma_eff_override)
@@ -162,8 +162,8 @@ def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
     if route == "monodromy":
         sets = monodromy_quasienergies(params, cfg, center + mus)
         return float(np.mean([quasienergy_rate(q, m) for q, m in zip(sets, mus)]))
-    ks, ladder = _bessel_ladder(params.modulation_index, params.n)
-    probe = 1 if abs(ladder[0]) >= abs(ladder[params.n]) else 2
+    ks, weights = _comb(params)
+    wts = max(weights, key=lambda w: w[ks.size // 2])  # the probe heavier at block 0
     cross = geff ** 2
     rates = []
     for p in (params.at_detuning(center + m) for m in mus):
@@ -174,7 +174,8 @@ def _route_rate(params: ModelParams, cfg: SimConfig, route: str,
         deltas = 0.5 * (c1 + c2) + half * u
         inv = _hb_blocks(p, ks, deltas, cross)[2]
         with np.errstate(invalid="ignore", over="ignore"):  # checked next
-            transfer = cross * (ladder[np.abs(ks - (probe - 1) * p.n_signed)] ** 2 @ inv)
+            # a member across delta0 = 0 has n_s reversed, and so the comb mirrored
+            transfer = cross * ((wts if p.n_signed == params.n_signed else wts[::-1]) @ inv)
         _require_finite(transfer, inv, deltas)
         if (peak := transfer.max()) == 0.0:
             rates.append(0.0)

@@ -165,6 +165,13 @@ def _run(args, argv: list) -> int:
         return EXIT_OK if report.ok else EXIT_VALIDATION
     if not report.ok:
         raise SystemExit(_fail(EXIT_VALIDATION, f"invalid parameters:\n{report}"))
+    ws = getattr(args, "sweep_omega_b", None)
+    if ws is not None and args.command == "gamma-curve" and ws.size < 2:
+        raise SystemExit(_fail(EXIT_VALIDATION,
+                               f"gamma-curve needs at least 2 drive frequencies, got {ws.size}"))
+    # validate() bounds omega_b from below only, so an ascending sweep first fails at its start
+    if ws is not None and not (low := validate(params.but(omega_b=float(ws[0])))).ok:
+        raise SystemExit(_fail(EXIT_VALIDATION, f"invalid swept omega_b = {ws[0]:g} Hz:\n{low}"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     header, columns, summary = args.body(args, params, cfg)

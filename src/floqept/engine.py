@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics.bessel import bessel_j
+from .numerics.bessel import bessel_j, bessel_ladder
 from .numerics.eig import order_eigenvalues
 from .numerics.integrate import integrate_linear
 from .params import ModelParams, SimConfig
@@ -480,10 +480,17 @@ def steady_state_response(params: ModelParams, cfg: SimConfig, probe) -> Sideban
     )
 
 
-def _bessel_ladder(x: float, n: int):
-    """Block indices ``k`` of :func:`steady_state_grid` and ``J_m(x)`` for ``m = 0 .. kmax + n``."""
-    kmax = math.ceil(abs(x)) + 15 + n
-    return np.arange(-kmax, kmax + 1), np.array([bessel_j(m, x) for m in range(kmax + n + 1)])
+def _comb(params: ModelParams):
+    """Block indices ``ks`` and weights ``(2, K)``, ``J_k(x)^2`` under a channel-1 probe and
+    ``J_(k-n_s)(x)^2`` under channel 2, from one ladder.  The orders end at the first
+    ``k > |x|`` with ``J_k^2 < 1e-18 * max J^2``, the blocks at ``|k| <=`` that ``+ |n_s|``.
+    ``ks`` is symmetric, so the model with ``n_s`` reversed has the weights ``[:, ::-1]``."""
+    x, ns = abs(params.modulation_index), params.n_signed
+    j2 = np.square(bessel_ladder(x, math.ceil(x) + 40))
+    cut = np.flatnonzero((j2 < 1e-18 * j2.max()) & (np.arange(j2.size) > x))[0]
+    j2 = np.append(j2[:cut + 1], np.zeros(2 * abs(ns)))  # no weight past the cut
+    ks = np.arange(-cut - abs(ns), cut + abs(ns) + 1)
+    return ks, j2[np.abs([ks, ks - ns])]
 
 
 def _hb_blocks(params: ModelParams, ks, deltas, cross: float):
@@ -532,12 +539,10 @@ def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
         [[delta + k*omega_b - d1 + i*gamma12, -i*Gamma_eff],
          [-i*Gamma_eff, delta + (k - n_s)*omega_b - d2 + i*gamma12]].
 
-    A channel-1 probe drives block k with weight ``|J_k(x)|``, a channel-2
-    probe with ``|J_(k-n_s)(x)|``, and ``P_j = sum_k |y_(j,k)|^2``.  Blocks
-    run over ``|k| <= ceil(|x|) + 15 + |n_s|``, past which the weights are
-    negligible.  In real arithmetic (:func:`_hb_blocks`) with probe weights ``w``, the probed
-    channel reads ``w @ ((b^2 + gamma12^2)/|det|^2)`` (``a`` for channel 2), the other
-    ``Gamma_eff^2 * w @ (1/|det|^2)``.
+    A probe drives block k with amplitude ``sqrt(w_k)``, ``w`` its row of the comb
+    :func:`_comb`, and ``P_j = sum_k |y_(j,k)|^2``.  In real arithmetic (:func:`_hb_blocks`)
+    the probed channel reads ``w @ ((b^2 + gamma12^2)/|det|^2)`` (``a`` for channel 2),
+    the other ``Gamma_eff^2 * w @ (1/|det|^2)``.
 
     Raises
     ------
@@ -547,14 +552,14 @@ def steady_state_grid(params: ModelParams, cfg: SimConfig, probe_channel,
     """
     deltas = np.asarray(deltas, dtype=float)
     channels = np.atleast_1d(probe_channel)
-    ks, ladder = _bessel_ladder(params.modulation_index, abs(params.n))
-    cross = coupling_rate(params) ** 2
+    cross = coupling_rate(params) ** 2  # raises past the supported |x| before the comb is built
+    ks, weights = _comb(params)
     a, b, inv = _hb_blocks(params, ks, deltas, cross)
     own = (b, a)  # the probed channel's own response is the other diagonal entry over det
     powers = np.empty((channels.size, 2, deltas.size))
     with np.errstate(invalid="ignore", over="ignore"):  # checked below
         for i, ch in enumerate(channels):
-            wts = abs(amplitude) ** 2 * ladder[np.abs(ks - (ch - 1) * params.n_signed)] ** 2
+            wts = abs(amplitude) ** 2 * weights[ch - 1]
             powers[i, ch - 1] = wts @ ((own[ch - 1] ** 2 + params.gamma12 ** 2) * inv)
             powers[i, 2 - ch] = cross * (wts @ inv)
     _require_finite(powers, inv, deltas)

@@ -1,21 +1,18 @@
-"""Bessel functions of the first kind, integer order.
+"""Bessel functions of the first kind, integer order, dependency-free.
 
-Two regimes, both dependency-free:
-
-* ``|x| <= 12``: ascending power series, summed to machine precision.
-* ``12 < |x| <= 50``: Miller's backward recurrence with sum-rule
-  normalization ``J0 + 2*sum(J_{2k}) = 1``.
-
-The switchover is validated against the series in the overlap region by the
-test suite.  Negative arguments go through the exact reflection
-``J_m(-x) = (-1)**m * J_m(x)``.
+:func:`bessel_j` sums the ascending power series for ``|x| <= 12`` and reads
+its order off :func:`bessel_ladder` above.  :func:`bessel_ladder` returns
+every order ``J_0 .. J_top`` of one Miller pass, the backward recurrence
+normalized by the sum rule ``J0 + 2*sum(J_{2k}) = 1``; the test suite holds
+it to the series order by order.  Negative arguments of :func:`bessel_j` go
+through the exact reflection ``J_m(-x) = (-1)**m * J_m(x)``.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["bessel_j"]
+__all__ = ["bessel_j", "bessel_ladder"]
 
 SUPPORTED_RANGE = 50.0
 _SERIES_CUTOVER = 12.0
@@ -37,33 +34,25 @@ def _series(m: int, x: float) -> float:
     return total
 
 
-def _miller(m: int, x: float) -> float:
-    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, seeded high above
-    # both m and x where J decays super-exponentially, then normalized with
-    # the even-order sum rule.
-    start = max(m, int(math.ceil(x))) + 40
-    if start % 2:
-        start += 1
-    jp = 0.0  # J_{k+1} (unnormalized)
-    jc = 1e-300  # J_k
-    norm = 0.0
-    wanted = 0.0
+def bessel_ladder(x: float, top: int) -> list:
+    """``[J_0(x), ..., J_top(x)]``, ``0 <= x <= 50``: Miller's recurrence ``J_{k-1} = (2k/x)
+    J_k - J_{k+1}`` seeded 40 orders above ``top`` and ``x``, where J decays
+    super-exponentially, normalized by the sum rule.  Below 1e-30, where ``2k/x`` would
+    overflow the rescaled recurrence, each order comes from the series."""
+    if x < 1e-30:
+        return [_series(m, x) for m in range(top + 1)]
+    start = max(top, math.ceil(x)) + 40
+    start += start % 2
+    ladder = [0.0] * start  # unnormalized J_0 .. J_(start-1)
+    jp, jc = 0.0, 1e-300  # J_(k+1), J_k
     for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
+        jp, jc = jc, (2.0 * k / x) * jc - jp
         if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            norm *= 1e-250
-            wanted *= 1e-250
-        if k - 1 == m:
-            wanted = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += 2.0 * jc
-    norm += jc  # J_0 term
-    if m == 0:
-        wanted = jc
-    return wanted / norm
+            jp, jc = jp * 1e-250, jc * 1e-250
+            ladder[k:] = [v * 1e-250 for v in ladder[k:]]
+        ladder[k - 1] = jc
+    norm = ladder[0] + 2.0 * sum(ladder[2::2])
+    return [v / norm for v in ladder[:top + 1]]
 
 
 def bessel_j(m: int, x: float) -> float:
@@ -84,6 +73,4 @@ def bessel_j(m: int, x: float) -> float:
         x = -x
         if m % 2:
             sign = -1.0
-    if x <= _SERIES_CUTOVER:
-        return sign * _series(m, x)
-    return sign * _miller(m, x)
+    return sign * (_series(m, x) if x <= _SERIES_CUTOVER else bessel_ladder(x, m)[m])

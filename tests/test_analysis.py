@@ -4,6 +4,7 @@ import pytest
 from floqept import analysis
 from floqept import (
     BracketError,
+    EngineError,
     GridSpec,
     ModelParams,
     SimConfig,
@@ -16,7 +17,8 @@ from floqept import (
     phase_diagram,
     solve_modulation_depth,
 )
-from floqept.numerics.bessel import bessel_j
+from floqept.numerics.bessel import bessel_j, bessel_ladder
+from floqept.numerics.integrate import StiffnessError
 
 
 @pytest.fixture
@@ -174,18 +176,20 @@ class TestLocateEp:
         assert len(integrations[0][2]) == 6
 
     def test_spectral_route_one_bessel_ladder(self, floquet_template, ep_cfg, monkeypatch):
-        # the six reads share one ladder J_0 .. J_top: the top order is evaluated once,
-        # and the only other calls are the coupling rate's J_n1 and J_n2
-        orders = []
+        # the six reads share one comb from one ladder; the only scalar Bessel calls
+        # are the coupling rate's J_n1 and J_n2
+        calls = []
 
-        def counted(m, x):
-            orders.append(m)
-            return bessel_j(m, x)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(f"floqept.engine.{name}", wrapper)
 
-        monkeypatch.setattr("floqept.engine.bessel_j", counted)
+        counted("bessel_j", bessel_j)
+        counted("bessel_ladder", bessel_ladder)
         locate_ep(floquet_template, 1, "spectral-pipeline", ep_cfg)
-        assert orders.count(max(orders)) == 1
-        assert len(orders) == max(orders) + 1 + 2
+        assert sorted(calls) == ["bessel_j", "bessel_j", "bessel_ladder"]
 
     def test_monodromy_route_lower_crossing(self, floquet_template, ep_cfg):
         r = locate_ep(floquet_template, 1, "monodromy", ep_cfg, bracket=(2900.0, 3000.0))
@@ -225,6 +229,55 @@ class TestLocateEp:
     def test_bracket_contains_threshold(self, floquet_template, ep_cfg):
         r = locate_ep(floquet_template, 1, "closed-form", ep_cfg)
         assert r.bracket[0] <= r.delta0_star <= r.bracket[1]
+
+    def test_spectral_route_member_across_zero_detuning(self, ep_cfg):
+        # 2*Gamma_eff = 387 Hz against omega_b = 1000 Hz: the reads at mu = -(2, 3)*774 Hz
+        # sit at delta0 > 0, where n_s flips and the channel-2 comb is mirrored in k
+        p = ModelParams(delta0=-3050.0, gamma_c=1500.0, gamma12=20.0, delta_b=2000.0,
+                        omega_b=1000.0, n1=1)
+        r = locate_ep(p, 1, "spectral-pipeline", SimConfig())
+        assert r.mismatch_star == pytest.approx(405.80901711910, abs=1e-6)
+
+
+def _route_draws(seed, gamma_c_range, gamma12_range):
+    """300 seeded models at delta0 = -3050 Hz: drive, rates and band pair drawn in a fixed order."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(300):
+        omega_b = rng.uniform(1000.0, 5000.0)
+        gamma_c = rng.uniform(*gamma_c_range)
+        gamma12 = rng.uniform(*gamma12_range)
+        delta_b = rng.uniform(0.0, 8000.0)
+        n1 = int(rng.integers(0, 3))
+        n2 = int(rng.integers(0, n1 + 1))
+        draws.append(ModelParams(delta0=-3050.0, gamma_c=gamma_c, gamma12=gamma12,
+                                 delta_b=delta_b, omega_b=omega_b, n1=n1, n2=n2))
+    return draws
+
+
+ROUTE_DRAWS = {"seed7": (7, (5.0, 1500.0), (0.0, 300.0)),
+               "seed41": (41, (20.0, 300.0), (5.0, 60.0))}
+# the spectral read fits one quartic to the whole comb; the other blocks' tails bias it
+SPECTRAL_MISSES = pytest.mark.xfail(strict=True, raises=AssertionError,
+                                     reason="spectral read misses on 137 + 14 draws")
+
+
+@pytest.mark.parametrize("route,bound", [
+    ("monodromy", 1e-6),
+    pytest.param("spectral-pipeline", 0.5, marks=SPECTRAL_MISSES),
+])
+@pytest.mark.parametrize("draw", sorted(ROUTE_DRAWS))
+def test_routes_agree_with_closed_form_on_seeded_draws(route, bound, draw):
+    # each route either raises a typed error or lands within its bound of 2*Gamma_eff
+    misses = []
+    for p in _route_draws(*ROUTE_DRAWS[draw]):
+        try:
+            r = locate_ep(p, None, route, SimConfig())
+        except (EngineError, BracketError, StiffnessError):
+            continue
+        if not abs(r.mismatch_star - 2.0 * coupling_rate(p)) <= bound:
+            misses.append(p)
+    assert misses == []
 
 
 class TestGammaCurve:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from floqept.numerics.bessel import SUPPORTED_RANGE, _miller, _series, bessel_j
+from floqept.numerics.bessel import SUPPORTED_RANGE, _series, bessel_j, bessel_ladder
 
 
 def series_oracle(m: int, x: float, terms: int = 400) -> float:
@@ -53,7 +53,15 @@ def test_matches_series_oracle(m, x):
 @pytest.mark.parametrize("m", [0, 1, 2, 4])
 @pytest.mark.parametrize("x", [8.0, 10.0, 12.0])
 def test_miller_agrees_with_series_in_overlap(m, x):
-    assert _miller(m, x) == pytest.approx(_series(m, x), abs=1e-12)
+    assert bessel_ladder(x, m)[m] == pytest.approx(_series(m, x), abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-40, 1e-4, 0.3, 1.4333333, 3.0, 5.0, 8.0])
+def test_ladder_matches_series_oracle_order_by_order(x):
+    ladder = bessel_ladder(x, 40)
+    assert len(ladder) == 41
+    for m, value in enumerate(ladder):
+        assert value == pytest.approx(series_oracle(m, x), abs=1e-12)
 
 
 # frozen from a 40-digit reference evaluation

@@ -386,6 +386,30 @@ def test_phase_diagram_counts(tmp_path, run_cli):
     assert "unbroken" in tags and "broken" in tags
 
 
+DRIVE = ("--gamma-c", "93", "--n1", "1")
+PHASE = ("phase-diagram", "--sweep-delta0", "2900:3200:5", "--n", "1") + DRIVE
+
+
+@pytest.mark.parametrize("args,message", [
+    (("gamma-curve", "--sweep-omega-b", "50:100:10", "--delta-b", "4300") + DRIVE,
+     "omega_b = 50 Hz:\n- delta_b/omega_b exceeds 50"),
+    (PHASE + ("--sweep-omega-b", "0:100:50", "--delta-b", "150"),
+     "omega_b = 0 Hz:\n- omega_b must be positive"),
+    (PHASE + ("--sweep-omega-b=-100:-50:50", "--delta-b", "150"),
+     "omega_b = -100 Hz:\n- omega_b must be positive"),
+    (("gamma-curve", "--sweep-omega-b=-3000:-1000:1000", "--delta-b", "4300") + DRIVE,
+     "omega_b = -3000 Hz:\n- omega_b must be positive"),
+    (("gamma-curve", "--sweep-omega-b", "3000:3000:1", "--delta-b", "4300") + DRIVE,
+     "gamma-curve needs at least 2 drive frequencies, got 1"),
+], ids=["above-range", "through-zero", "negative-map", "negative-curve", "one-point"])
+def test_swept_drive_frequency_out_of_range_exit_2(tmp_path, args, message, run_cli):
+    # every swept omega_b must pass validate() as --omega-b does; the first bad one is named
+    r = run_cli(*args, "--out", str(tmp_path))
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_phase_diagram_negative_band_order_exit_2(tmp_path, run_cli):
     r = run_cli(
         "phase-diagram", "--out", str(tmp_path), "--sweep-delta0", "2900:3200:50",

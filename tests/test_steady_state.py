@@ -7,6 +7,7 @@ from floqept import ModelParams, SimConfig, SingularSteadyStateError
 from floqept.engine import (
     TWO_PI,
     LabFrameModel,
+    _comb,
     branch_root,
     coupling_rate,
     effective_coupling,
@@ -124,6 +125,24 @@ def test_grid_matches_dense_solve_at_strong_drive_and_narrow_lines(coupled_point
         sol = steady_state_response(p, converged, (channel, float(delta), 1.0))
         assert powers[:, g] == pytest.approx([sol.channel_power(1), sol.channel_power(2)],
                                              rel=1e-10)
+
+
+@pytest.mark.parametrize("ns", [0, 3, -3])
+@pytest.mark.parametrize("x", [0.0, 1e-4, 0.3, 1.433, 12.0, 12.5, 20.0, 49.9])
+def test_comb_weights_keep_the_sum_rule(x, ns):
+    # the cut drops less than 1e-18 of J_0^2 + 2*sum J_k^2 = 1 from either channel; the
+    # rest of the bound is the ladder's rounding
+    p = ModelParams(delta0=math.copysign(3050.0, ns), delta_b=x * 3000.0, omega_b=3000.0,
+                    n1=abs(ns))
+    ks, weights = _comb(p)
+    assert p.n_signed == ns and weights.shape == (2, ks.size)
+    assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-15
+
+
+def test_comb_cut_at_readme_drive(coupled_point):
+    # x = 4300/3000: orders end at k = 12, where J_12^2 = 1.4e-21, so |k| <= 13 for n = 1
+    ks, _ = _comb(coupled_point)
+    assert ks.size == 27
 
 
 def test_grid_raises_where_the_dense_solve_does():
